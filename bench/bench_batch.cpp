@@ -1,29 +1,29 @@
-// BATCH — throughput of the block-at-a-time access API (PR 7/8) against
-// the record-at-a-time scalar path it replaces. Two layers:
-//   * BM_CacheAccessBatch: raw Cache::access_batch, swept across block
-//     sizes AND stream shapes — the resident uncoded-HP shape is the
-//     inline/SIMD hit-probe fast path (replay steady state), the other
-//     shapes price the miss, codec and fault tails.
-//   * BM_ReplayBlockSize: full System::run_trace replay of a real
-//     workload trace, swept across block sizes — the end-to-end number
-//     the hvc_explore sweeps and hvc_trace replay see.
-// Every block size retires bit-identical results (tests/test_batch.cpp);
-// these benches measure only the dispatch-overhead delta.
+// BATCH — per-op cost of the cache's two demand-access entry points on
+// identical op streams:
+//   * BM_CacheAccessBatch: Cache::access_batched, the inline fast path
+//     cpu::Core drives once per trace record — the resident uncoded-HP
+//     shape is the SIMD hit probe in replay steady state, the other
+//     shapes price the miss, codec and fault tails;
+//   * BM_CacheAccessScalar: the full Cache::access datapath the fast
+//     path re-enters for everything but plain hits.
+// Both retire bit-identical results (tests/test_batch.cpp); the delta is
+// what the hoisted context and the probe save per op. End-to-end replay
+// throughput lives in bench_trace_replay.
 #include "bench_common.hpp"
+
+#include <memory>
 
 #include "hvc/cache/cache.hpp"
 #include "hvc/common/rng.hpp"
-#include "hvc/trace/trace.hpp"
-#include "hvc/workloads/workload.hpp"
 
 namespace {
 
 using namespace hvc;
 using namespace hvc::bench;
 
-/// Stream/cache shapes for BM_CacheAccessBatch's second argument. The
-/// pre-PR-8 bench only ran kStreaming — a ~50% miss mix that never
-/// stayed on the batched hit probe, so the fast path was invisible.
+/// Stream/cache shapes, the argument of both benches. The streaming
+/// shape alone (a ~50% miss mix) would hide the hit probe, so the
+/// resident shape keeps every timed op a hit.
 enum Shape : std::int64_t {
   kResident = 0,   ///< uncoded HP, working set fits: all-hit fast path
   kStreaming = 1,  ///< uncoded HP, ~2x footprint: miss/evict mix
@@ -65,12 +65,18 @@ enum Shape : std::int64_t {
   return config;
 }
 
+struct Op {
+  std::uint64_t addr = 0;
+  cache::AccessType type = cache::AccessType::kLoad;
+  std::uint32_t store_value = 0;
+};
+
 /// Mixed op stream over `footprint` bytes; 1 store per 4 ops, 1 ifetch
 /// per 7 (same mix shape as bench_cache_access).
-[[nodiscard]] std::vector<cache::BatchOp> op_stream(std::size_t count,
-                                                    std::size_t footprint) {
+[[nodiscard]] std::vector<Op> op_stream(std::size_t count,
+                                        std::size_t footprint) {
   Rng rng(42);
-  std::vector<cache::BatchOp> ops(count);
+  std::vector<Op> ops(count);
   for (std::size_t i = 0; i < count; ++i) {
     ops[i].addr = (rng.below(footprint) / 4) * 4;
     ops[i].type = (i % 4 == 3)   ? cache::AccessType::kStore
@@ -87,115 +93,79 @@ enum Shape : std::int64_t {
   return shape == kResident ? 4 * 1024 : 2 * 8 * 1024;
 }
 
-void BM_CacheAccessBatch(benchmark::State& state) {
-  const auto block = static_cast<std::size_t>(state.range(0));
-  const std::int64_t shape = state.range(1);
-  cache::MainMemory memory;
-  Rng rng(7);
-  cache::CacheConfig config = shape_config(shape);
-  cache::MainMemoryLevel terminal(memory, config.memory_latency_cycles);
-  cache::Cache cache(config, terminal, rng);
+/// One cache of `shape`, warmed by one pass over `ops` so the timed
+/// loop starts in steady state (the resident shape then only hits).
+[[nodiscard]] std::unique_ptr<cache::Cache> warm_cache(
+    std::int64_t shape, cache::MemoryLevel& terminal, Rng& rng,
+    const std::vector<Op>& ops) {
+  auto cache = std::make_unique<cache::Cache>(shape_config(shape), terminal,
+                                              rng);
   if (shape == kFaulty) {
-    cache.set_mode(power::Mode::kUle);
+    cache->set_mode(power::Mode::kUle);
   }
+  for (const Op& op : ops) {
+    (void)cache->access(op.addr, op.type, op.store_value);
+  }
+  return cache;
+}
+
+void BM_CacheAccessBatch(benchmark::State& state) {
+  const std::int64_t shape = state.range(0);
+  cache::MainMemory memory;
+  cache::MainMemoryLevel terminal(memory,
+                                  shape_config(shape).memory_latency_cycles);
+  Rng rng(7);
   const auto ops = op_stream(4096, shape_footprint(shape));
-
-  cache::AccessBatch batch;
-  batch.ops.reserve(std::max<std::size_t>(block, ops.size()));
-  // Warmup pass: fill the cache so the resident shape times steady-state
-  // hits, not cold fills (the other shapes reach steady state too).
-  batch.clear();
-  for (const cache::BatchOp& op : ops) {
-    batch.push(op.addr, op.type, op.store_value);
-  }
-  cache.access_batch(batch);
-
+  const auto cache = warm_cache(shape, terminal, rng, ops);
   std::size_t i = 0;
-  std::uint64_t records = 0;
+  bool hit = false;
+  std::uint32_t latency = 0;
   for (auto _ : state) {
-    batch.clear();
-    for (std::size_t j = 0; j < block; ++j) {
-      const cache::BatchOp& op = ops[i];
-      batch.push(op.addr, op.type, op.store_value);
-      i = (i + 1) % ops.size();
-    }
-    cache.access_batch(batch);
-    benchmark::DoNotOptimize(batch.ops.back().latency_cycles);
-    records += block;
+    const Op& op = ops[i];
+    cache->access_batched(op.addr, op.type, op.store_value, hit, latency);
+    benchmark::DoNotOptimize(latency);
+    i = (i + 1) % ops.size();
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(records));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.SetLabel(shape_name(shape));
-  state.counters["hit_rate"] = cache.stats().hit_rate();
+  state.counters["hit_rate"] = cache->stats().hit_rate();
 }
 BENCHMARK(BM_CacheAccessBatch)
-    ->ArgsProduct({{1, 16, 256, 1024}, {kResident, kStreaming}})
-    ->Args({256, kCoded})
-    ->Args({256, kFaulty})
-    ->ArgNames({"block", "shape"});
+    ->Arg(kResident)
+    ->Arg(kStreaming)
+    ->Arg(kCoded)
+    ->Arg(kFaulty)
+    ->ArgName("shape");
 
-/// Scalar baseline on the identical stream: what per-record dispatch
-/// through the virtual access() looks like (the pre-PR-7 hot loop), on
-/// the same shapes as the batch bench above.
+/// The same streams through the full scalar datapath.
 void BM_CacheAccessScalar(benchmark::State& state) {
   const std::int64_t shape = state.range(0);
   cache::MainMemory memory;
+  cache::MainMemoryLevel terminal(memory,
+                                  shape_config(shape).memory_latency_cycles);
   Rng rng(7);
-  cache::CacheConfig config = shape_config(shape);
-  cache::MainMemoryLevel terminal(memory, config.memory_latency_cycles);
-  cache::Cache cache(config, terminal, rng);
-  if (shape == kFaulty) {
-    cache.set_mode(power::Mode::kUle);
-  }
   const auto ops = op_stream(4096, shape_footprint(shape));
-  for (const cache::BatchOp& op : ops) {
-    (void)cache.access(op.addr, op.type, op.store_value);
-  }
+  const auto cache = warm_cache(shape, terminal, rng, ops);
   std::size_t i = 0;
   for (auto _ : state) {
-    const cache::BatchOp& op = ops[i];
-    benchmark::DoNotOptimize(cache.access(op.addr, op.type, op.store_value));
+    const Op& op = ops[i];
+    benchmark::DoNotOptimize(cache->access(op.addr, op.type, op.store_value));
     i = (i + 1) % ops.size();
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
   state.SetLabel(shape_name(shape));
-  state.counters["hit_rate"] = cache.stats().hit_rate();
+  state.counters["hit_rate"] = cache->stats().hit_rate();
 }
 BENCHMARK(BM_CacheAccessScalar)
     ->Arg(kResident)
     ->Arg(kStreaming)
     ->ArgName("shape");
 
-/// End-to-end replay throughput vs block size: one full run_trace of a
-/// BigBench trace per iteration. block=1 is the scalar path; 256 is the
-/// kReplayBlockRecords default the tools use.
-void BM_ReplayBlockSize(benchmark::State& state) {
-  const auto block = static_cast<std::size_t>(state.range(0));
-  const auto workload = wl::find_workload("gsm_c").run(1, 1);
-  trace::MemoryTraceSource source(workload.tracer);
-  sim::SystemConfig config =
-      paper_system(yield::Scenario::kA, true, power::Mode::kHp);
-  sim::System system(config, sim::cell_plan_for(config.design.scenario));
-
-  std::uint64_t records = 0;
-  for (auto _ : state) {
-    const cpu::RunResult result = system.run_trace(source, block);
-    benchmark::DoNotOptimize(result.cycles);
-    records += result.il1.accesses + result.dl1.accesses;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(records));
-}
-BENCHMARK(BM_ReplayBlockSize)
-    ->Arg(1)
-    ->Arg(16)
-    ->Arg(256)
-    ->Arg(1024)
-    ->ArgName("block")
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
   hvc::bench::print_header(
-      "BATCH", "block-at-a-time access API vs record-at-a-time scalar");
+      "BATCH", "per-op access_batched fast path vs scalar access()");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

@@ -1,8 +1,9 @@
-// Shared helpers for the figure-reproduction benchmark harnesses.
+// Shared helpers for the benchmark harnesses.
 //
-// Each bench binary regenerates one table/figure of the paper (see
-// DESIGN.md section 4): it first prints the reproduced rows/series, then
-// runs google-benchmark microbenchmarks of the primitives involved.
+// The bench_fig* binaries regenerate one table/figure of the paper: each
+// first prints the reproduced rows/series, then runs google-benchmark
+// microbenchmarks of the primitives involved. The other binaries time
+// the simulator's hot paths (cache access, replay, store, arbiter).
 #pragma once
 
 #include <benchmark/benchmark.h>
@@ -37,7 +38,6 @@ namespace hvc::bench {
 inline void print_header(const char* figure, const char* description) {
   std::printf("=====================================================\n");
   std::printf("%s — %s\n", figure, description);
-  std::printf("(shape reproduction; see EXPERIMENTS.md for criteria)\n");
   std::printf("=====================================================\n");
 }
 

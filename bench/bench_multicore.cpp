@@ -4,6 +4,8 @@
 // how far `hvc_explore` can push the `cores` axis.
 #include "bench_common.hpp"
 
+#include <optional>
+
 #include "hvc/sim/system.hpp"
 
 namespace {
@@ -24,20 +26,26 @@ using namespace hvc::bench;
   return config;
 }
 
-/// One full run_mix replay per iteration; reports records/second so core
-/// counts are comparable (the interleaver steps one record per core per
-/// round).
+/// One full run_mix replay per iteration on a freshly built System (cold
+/// caches, as every sweep point starts), built outside the timed region;
+/// reports records/second so core counts are comparable (the interleaver
+/// steps one record per core per round).
 void BM_MulticoreStep(benchmark::State& state) {
   const auto cores = static_cast<std::size_t>(state.range(0));
   const bool with_l2 = state.range(1) != 0;
   sim::SystemConfig config = multicore_config(cores, with_l2);
-  sim::System system(config, sim::cell_plan_for(config.design.scenario));
+  const yield::CacheCellPlan& plan =
+      sim::cell_plan_for(config.design.scenario);
   const std::vector<std::string> mix{"gsm_c", "adpcm_c", "g721_c",
                                      "epic_c"};
+  std::optional<sim::System> system;
   std::uint64_t records = 0;
   std::uint64_t contention = 0;
   for (auto _ : state) {
-    const sim::MulticoreResult result = system.run_mix(mix);
+    state.PauseTiming();
+    system.emplace(config, plan);  // also tears the previous one down
+    state.ResumeTiming();
+    const sim::MulticoreResult result = system->run_mix(mix);
     benchmark::DoNotOptimize(result.aggregate.cycles);
     std::uint64_t run_records = 0;
     for (const auto& core : result.per_core) {
@@ -58,25 +66,27 @@ BENCHMARK(BM_MulticoreStep)
     ->ArgNames({"cores", "l2"})
     ->Unit(benchmark::kMillisecond);
 
-/// Raw arbitration cost: one begin_request + access + (per round)
-/// new_round per requester against an uncontended memory terminal —
-/// the per-record overhead the interleaver pays on top of the cache
-/// model itself. PR 8 devirtualized the queue-delay call (seam),
-/// precomputed the uncontended grant energy and made new_round O(1)
-/// (epoch-lazy reset), so this row tracks those wins in isolation.
+/// Raw arbitration cost: one begin_request + line fetch + (per round)
+/// new_round per requester against a memory terminal — fetch_block is
+/// the path every L1 miss takes into a shared level, so this is the
+/// per-miss overhead the interleaver pays on top of the cache model
+/// itself. The queue-delay call is devirtualized (seam), the
+/// uncontended grant energy precomputed and new_round O(1) (epoch-lazy
+/// reset); this row tracks those in isolation.
 void BM_ArbiterRound(benchmark::State& state) {
   const auto requesters = static_cast<std::size_t>(state.range(0));
   cache::MainMemory memory;
   cache::MainMemoryLevel inner(memory, 20);
   cache::ArbitratedLevel arbiter(inner, requesters, 1.0);
+  constexpr std::size_t kLineWords = 8;  // one 32-byte line
+  std::uint32_t line[kLineWords] = {};
   std::uint64_t grants = 0;
   std::uint64_t addr = 0;
   for (auto _ : state) {
     for (std::size_t r = 0; r < requesters; ++r) {
       arbiter.begin_request(r);
-      benchmark::DoNotOptimize(
-          arbiter.access(addr, cache::AccessType::kLoad));
-      addr = (addr + 4) & 0xFFFF;
+      benchmark::DoNotOptimize(arbiter.fetch_block(addr, line, kLineWords));
+      addr = (addr + 4 * kLineWords) & 0xFFFF;
     }
     arbiter.new_round();
     grants += requesters;

@@ -78,16 +78,18 @@ void BM_TraceWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceWrite)->Unit(benchmark::kMillisecond);
 
-/// Decode throughput: records/second pulled out of a TraceFileSource.
+/// Decode throughput: records/second pulled out of a TraceFileSource in
+/// replay-sized blocks (the way Core::run pulls them).
 void BM_TraceDecode(benchmark::State& state) {
   trace::TraceFileSource source(recorded().path);
   std::uint64_t records = 0;
-  trace::Record record;
+  trace::Record block[trace::kReplayBlockRecords];
   for (auto _ : state) {
     source.reset();
-    while (source.next(record)) {
-      benchmark::DoNotOptimize(record.addr);
-      ++records;
+    std::size_t got = 0;
+    while ((got = source.next_batch(block, trace::kReplayBlockRecords)) > 0) {
+      benchmark::DoNotOptimize(block[got - 1].addr);
+      records += got;
     }
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(records));

@@ -130,12 +130,6 @@ class ArbitratedLevel final : public MemoryLevel {
   [[nodiscard]] const std::string& level_name() const noexcept override {
     return inner_.level_name();
   }
-  /// Scalar demand access through the arbiter: the inner level's latency
-  /// composed with this request's queueing delay. (The batch entry point
-  /// is inherited: the default scalar loop IS the exact path here, since
-  /// arbitration is ordering-sensitive by construction.)
-  AccessResult access(std::uint64_t addr, AccessType type,
-                      std::uint32_t store_value = 0) override;
   std::size_t fetch_block(std::uint64_t addr, std::uint32_t* out,
                           std::size_t count) override;
   std::size_t writeback_block(std::uint64_t addr, const std::uint32_t* words,

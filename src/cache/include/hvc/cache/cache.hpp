@@ -48,8 +48,8 @@ typedef std::uint64_t ProbeVec
     __attribute__((vector_size(32), aligned(8)));
 #endif
 
-// AccessType / AccessResult / AccessBatch live in memory_level.hpp (the
-// shared access contract of every hierarchy level).
+// AccessType / AccessResult live in memory_level.hpp (the shared latency
+// contract of every hierarchy level).
 
 enum class WritePolicy { kWriteBackAllocate, kWriteThroughNoAllocate };
 
@@ -105,32 +105,27 @@ class Cache : public MemoryLevel {
   Cache(CacheConfig config, MemoryLevel& next_level, Rng& rng);
 
   /// Performs one access at the current mode. Functionally exact: loads
-  /// return the value the program would see.
+  /// return the value the program would see. This is the full datapath
+  /// (tag decode, data decode, fill, write-back); access_batched() replays
+  /// its hits with pre-resolved constants and re-enters it for everything
+  /// else.
   AccessResult access(std::uint64_t addr, AccessType type,
-                      std::uint32_t store_value = 0) override;
+                      std::uint32_t store_value = 0);
 
-  /// Native block-at-a-time path: resolves the block's hits over the
-  /// packed per-way arrays with a hoisted per-mode context (geometry,
-  /// energy handles, codec/fault dispatch pre-resolved once per block
-  /// instead of per record) and falls back to the scalar access() for
-  /// misses, write-through passthroughs and fault-perturbed sets, so
-  /// ordering-sensitive state transitions stay exact. Pinned
-  /// bit-identical to the scalar loop — every stat, every energy
-  /// accumulation step, every latency — by tests/test_batch.cpp.
-  void access_batch(AccessBatch& batch) override;
-
-  /// One op of a conceptual batch: identical side effects to access(),
-  /// through the batch fast path. This exists because cpu::Core must
-  /// interleave IL1/DL1 ops in record order (they share a stateful next
-  /// level), so it cannot hand either cache a multi-op block; it streams
-  /// per-record ops through this entry point instead and gets the same
-  /// hoisted-context win.
+  /// The demand-access path cpu::Core drives, one op per trace record:
+  /// identical side effects to access() — every stat, every energy
+  /// accumulation step, every latency, pinned by tests/test_batch.cpp —
+  /// but plain hits resolve inline over a hoisted per-mode context
+  /// (geometry, energy handles, codec/fault dispatch pre-resolved once per
+  /// mode instead of per record) and a SIMD probe. Misses, write-through
+  /// passthroughs and fault-perturbed sets re-enter access(), so
+  /// ordering-sensitive state transitions stay exact.
   void access_batched(std::uint64_t addr, AccessType type,
                       std::uint32_t store_value, bool& hit,
                       std::uint32_t& latency_cycles);
 
  private:
-  /// Scalar re-entry for batch ops the fast path cannot replay (miss,
+  /// Scalar re-entry for ops the fast path cannot replay (miss,
   /// non-power-of-two geometry, fault-perturbed tag set).
   void access_batched_fallback(std::uint64_t addr, AccessType type,
                                std::uint32_t store_value, bool& hit,
@@ -318,7 +313,7 @@ class Cache : public MemoryLevel {
     energy_j_[category] += joules;
   }
 
-  /// Per-mode constants the batch path hoists out of the per-record loop:
+  /// Per-mode constants access_batched() hoists out of the per-record loop:
   /// geometry (divisions/modulos pre-reduced to shifts/masks when the
   /// organisation is power-of-two), energy handles, per-way codec and
   /// activity dispatch, and the per-set "tag region fault-free" map that
@@ -374,7 +369,6 @@ class Cache : public MemoryLevel {
     std::vector<std::uint8_t> tag_clean;
   };
 
-  [[nodiscard]] const BatchCtx& batch_ctx();
   void rebuild_batch_ctx();
 
   /// Probe-key sentinel: never equal to a real line address (addresses

@@ -79,13 +79,6 @@ std::size_t ArbitratedLevel::grant(std::size_t service_cycles,
   return delay + service_cycles;
 }
 
-AccessResult ArbitratedLevel::access(std::uint64_t addr, AccessType type,
-                                     std::uint32_t store_value) {
-  AccessResult result = inner_.access(addr, type, store_value);
-  result.latency_cycles = grant(result.latency_cycles);
-  return result;
-}
-
 std::size_t ArbitratedLevel::fetch_block(std::uint64_t addr,
                                          std::uint32_t* out,
                                          std::size_t count) {

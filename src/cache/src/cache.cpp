@@ -398,9 +398,9 @@ AccessResult Cache::access(std::uint64_t addr, AccessType type,
   return result;
 }
 
-// --- block-at-a-time fast path -------------------------------------
+// --- access_batched fast path -------------------------------------
 //
-// The batch path may hoist loop-invariant work (geometry divisions,
+// The fast path may hoist loop-invariant work (geometry divisions,
 // energy-model getters, codec/fault dispatch) but may NOT reorder or
 // merge per-record side effects: energy accumulates in non-associative
 // double adds, fault maps are stuck-at (value-dependent), and the next
@@ -408,14 +408,6 @@ AccessResult Cache::access(std::uint64_t addr, AccessType type,
 // effects op by op, in op order, and drops to the scalar access() for
 // everything ordering-sensitive (misses, write-through passthroughs,
 // sets whose stored tags touch stuck bits).
-
-const Cache::BatchCtx& Cache::batch_ctx() {
-  if (!batch_ctx_valid_) {
-    rebuild_batch_ctx();
-    batch_ctx_valid_ = true;
-  }
-  return batch_ctx_;
-}
 
 void Cache::rebuild_batch_ctx() {
   BatchCtx& ctx = batch_ctx_;
@@ -531,13 +523,6 @@ void Cache::batched_load_coded(std::uint64_t addr, std::size_t hit_way,
     (void)next_level_->load_word(addr);
   } else if (decoded.status == edc::DecodeStatus::kCorrected) {
     stats_.edc_corrections += decoded.corrected_bits;
-  }
-}
-
-void Cache::access_batch(AccessBatch& batch) {
-  for (BatchOp& op : batch.ops) {
-    access_batched(op.addr, op.type, op.store_value, op.hit,
-                   op.latency_cycles);
   }
 }
 

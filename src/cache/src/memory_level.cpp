@@ -15,52 +15,11 @@ std::string to_string(AccessType type) {
   return "?";
 }
 
-AccessResult MemoryLevel::access(std::uint64_t addr, AccessType type,
-                                 std::uint32_t store_value) {
-  // Default: synthesize the access from the word virtuals. Levels without
-  // a tag datapath service every request, so it reports a hit; loads ride
-  // the word-fallback path, which per the latency contract has no latency
-  // return of its own (levels with a uniform access latency override).
-  AccessResult result;
-  result.hit = true;
-  if (type == AccessType::kStore) {
-    result.latency_cycles = store_word(addr, store_value);
-  } else {
-    result.data = load_word(addr);
-  }
-  return result;
-}
-
-void MemoryLevel::access_batch(AccessBatch& batch) {
-  for (BatchOp& op : batch.ops) {
-    const AccessResult result = op.type == AccessType::kStore
-                                    ? access(op.addr, op.type, op.store_value)
-                                    : access(op.addr, op.type);
-    op.hit = result.hit;
-    op.latency_cycles = static_cast<std::uint32_t>(result.latency_cycles);
-  }
-}
-
 MainMemoryLevel::MainMemoryLevel(MainMemory& memory,
                                  std::size_t latency_cycles, std::string name)
     : memory_(memory),
       latency_cycles_(latency_cycles),
       name_(std::move(name)) {}
-
-AccessResult MainMemoryLevel::access(std::uint64_t addr, AccessType type,
-                                     std::uint32_t store_value) {
-  AccessResult result;
-  result.hit = true;  // memory always hits
-  result.latency_cycles = latency_cycles_;
-  if (type == AccessType::kStore) {
-    memory_.write_word(addr, store_value);
-    ++word_writes_;
-  } else {
-    result.data = memory_.read_word(addr);
-    ++word_reads_;
-  }
-  return result;
-}
 
 std::size_t MainMemoryLevel::fetch_block(std::uint64_t addr,
                                          std::uint32_t* out,

@@ -7,7 +7,9 @@
 //  * Numbers are doubles; dump() prints integral values without a decimal
 //    point and everything else with %.17g, so parse(dump(x)) == x.
 //  * parse() throws hvc::ConfigError with a line:column location on any
-//    syntax error — spec files are user input.
+//    syntax error — spec files and daemon requests are user input — and
+//    on nesting deeper than kJsonMaxDepth, so hostile input cannot
+//    exhaust the recursive parser's stack.
 #pragma once
 
 #include <cstddef>
@@ -17,6 +19,11 @@
 #include <vector>
 
 namespace hvc {
+
+/// Deepest array/object nesting Json::parse accepts. Real specs and
+/// requests nest a handful of levels; the cap bounds the parser's (and
+/// the parsed value's destructor's) recursion depth.
+inline constexpr std::size_t kJsonMaxDepth = 256;
 
 class Json {
  public:
@@ -38,7 +45,8 @@ class Json {
   Json(Object o) : type_(Type::kObject), object_(std::move(o)) {}
 
   /// Parses one JSON document (trailing garbage is an error).
-  /// Throws ConfigError on malformed input.
+  /// Throws ConfigError on malformed input or nesting deeper than
+  /// kJsonMaxDepth.
   [[nodiscard]] static Json parse(std::string_view text);
 
   /// Serializes; indent < 0 gives compact single-line output, otherwise

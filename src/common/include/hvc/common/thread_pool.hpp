@@ -1,10 +1,10 @@
-// Work-queue thread pool and a parallel_for built on it.
+// Work-queue thread pool.
 //
 // The explorer's determinism story does NOT depend on scheduling: work is
 // indexed, every index derives its own Rng stream (Rng::stream), and
-// results land in pre-sized slots — so the pool is free to hand indices to
-// whichever worker asks first. Exceptions thrown by tasks are captured and
-// the first one is rethrown to the caller of wait()/parallel_for.
+// results are emitted in index order — so the pool is free to hand work
+// to whichever worker asks first. Exceptions thrown by tasks are captured
+// and the first one is rethrown to the caller of wait().
 #pragma once
 
 #include <condition_variable>
@@ -51,13 +51,5 @@ class ThreadPool {
   bool stopping_ = false;
   std::exception_ptr first_error_;
 };
-
-/// Runs fn(i) for i in [begin, end) across `threads` workers. With
-/// threads <= 1 (or a single-element range) everything runs inline on the
-/// calling thread — handy as a reference baseline and under sanitizers.
-/// Rethrows the first exception; remaining indices may be skipped after a
-/// failure.
-void parallel_for(std::size_t begin, std::size_t end, std::size_t threads,
-                  const std::function<void(std::size_t)>& fn);
 
 }  // namespace hvc

@@ -18,7 +18,7 @@ class Parser {
 
   Json parse_document() {
     skip_ws();
-    Json value = parse_value();
+    Json value = parse_value(0);
     skip_ws();
     if (pos_ != text_.size()) {
       fail("trailing characters after JSON document");
@@ -77,15 +77,16 @@ class Parser {
     return false;
   }
 
-  Json parse_value() {
+  /// `depth` counts the arrays/objects enclosing this value.
+  Json parse_value(std::size_t depth) {
     if (eof()) {
       fail("unexpected end of input");
     }
     switch (peek()) {
       case '{':
-        return parse_object();
+        return parse_object(depth + 1);
       case '[':
-        return parse_array();
+        return parse_array(depth + 1);
       case '"':
         return Json(parse_string());
       case 't':
@@ -108,7 +109,17 @@ class Parser {
     }
   }
 
-  Json parse_object() {
+  /// Arrays and objects call this with their own nesting depth (the
+  /// document's top level is depth 1).
+  void check_depth(std::size_t depth) const {
+    if (depth > kJsonMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kJsonMaxDepth) +
+           " levels");
+    }
+  }
+
+  Json parse_object(std::size_t depth) {
+    check_depth(depth);
     expect('{');
     Json::Object members;
     skip_ws();
@@ -130,7 +141,7 @@ class Parser {
       skip_ws();
       expect(':');
       skip_ws();
-      members.emplace_back(std::move(key), parse_value());
+      members.emplace_back(std::move(key), parse_value(depth));
       skip_ws();
       if (eof()) {
         fail("unterminated object");
@@ -144,7 +155,8 @@ class Parser {
     }
   }
 
-  Json parse_array() {
+  Json parse_array(std::size_t depth) {
+    check_depth(depth);
     expect('[');
     Json::Array values;
     skip_ws();
@@ -154,7 +166,7 @@ class Parser {
     }
     for (;;) {
       skip_ws();
-      values.push_back(parse_value());
+      values.push_back(parse_value(depth));
       skip_ws();
       if (eof()) {
         fail("unterminated array");

@@ -1,6 +1,5 @@
 #include "hvc/common/thread_pool.hpp"
 
-#include <atomic>
 #include <utility>
 
 namespace hvc {
@@ -79,45 +78,6 @@ void ThreadPool::worker_loop() {
       }
     }
   }
-}
-
-void parallel_for(std::size_t begin, std::size_t end, std::size_t threads,
-                  const std::function<void(std::size_t)>& fn) {
-  if (end <= begin) {
-    return;
-  }
-  const std::size_t count = end - begin;
-  if (threads <= 1 || count == 1) {
-    for (std::size_t i = begin; i < end; ++i) {
-      fn(i);
-    }
-    return;
-  }
-  if (threads > count) {
-    threads = count;
-  }
-  // One claim-the-next-index task per worker: cheap dynamic load balancing
-  // without queueing `count` closures.
-  std::atomic<std::size_t> next{begin};
-  std::atomic<bool> failed{false};
-  ThreadPool pool(threads);
-  for (std::size_t w = 0; w < threads; ++w) {
-    pool.submit([&next, &failed, end, &fn] {
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= end || failed.load(std::memory_order_relaxed)) {
-          return;
-        }
-        try {
-          fn(i);
-        } catch (...) {
-          failed.store(true, std::memory_order_relaxed);
-          throw;  // captured by the pool, rethrown from wait()
-        }
-      }
-    });
-  }
-  pool.wait();
 }
 
 }  // namespace hvc

@@ -112,11 +112,12 @@ struct RunResult {
 };
 
 /// Per-phase wall-time breakdown of one streaming replay (hvc_trace
-/// replay --profile): where the run() loop actually spent its time, so
-/// perf regressions can be attributed without a profiler. decode covers
+/// replay --profile): where Core::run spent its time, so perf regressions
+/// can be attributed without a profiler. decode covers
 /// TraceSource::next_batch (varint decode / record copy), access covers
 /// step_batch (the cache/pipeline model), retire covers begin_run,
-/// counter clears and the finish_run roll-up.
+/// counter clears and the finish_run roll-up. records/blocks count what
+/// the run pulled (one block = up to trace::kReplayBlockRecords records).
 struct ReplayProfile {
   double decode_s = 0.0;
   double access_s = 0.0;
@@ -144,21 +145,14 @@ class Core {
   [[nodiscard]] RunResult run(const trace::Tracer& tracer);
 
   /// Streaming replay: pulls records from `source` in blocks of
-  /// `block_records` (1 = the legacy record-at-a-time loop), so the
-  /// memory held during the run is the source's own window plus one
-  /// block (an on-disk trace of any length replays in O(1) memory). The
-  /// source is reset() first; replaying the same source twice — or with
-  /// any other block size — gives bit-identical results.
+  /// trace::kReplayBlockRecords, so the memory held during the run is the
+  /// source's own window plus one block (an on-disk trace of any length
+  /// replays in O(1) memory). The source is reset() first, so one source
+  /// serves any number of runs. With a non-null `profile`, per-phase wall
+  /// time is accumulated into it; the clock is read only then, and the
+  /// replay result is the same either way.
   [[nodiscard]] RunResult run(trace::TraceSource& source,
-                              std::size_t block_records =
-                                  trace::kReplayBlockRecords);
-
-  /// run() with per-phase wall-clock timing accumulated into `profile`
-  /// (timers wrap each decode/access/retire section, so the replay
-  /// result itself stays bit-identical to the untimed run).
-  [[nodiscard]] RunResult run_profiled(trace::TraceSource& source,
-                                       std::size_t block_records,
-                                       ReplayProfile& profile);
+                              ReplayProfile* profile = nullptr);
 
   // --- incremental replay (multi-core interleaving) ---
   // run() is begin_run() + step() per record + finish_run(); a round-robin
@@ -183,22 +177,16 @@ class Core {
   /// once for all cores.
   void begin_run();
 
-  /// Replays one trace record against the pipeline/energy model.
+  /// Replays one trace record against the pipeline/energy model, with
+  /// the L1 lookups through cache::Cache::access_batched. The multi-core
+  /// interleaver (sim::System::run_mix) steps this once per core per
+  /// round. Defined inline below so that per-record loop pays no
+  /// cross-TU call.
   void step(const trace::Record& record, RunState& state);
 
-  /// step() with the L1 lookup routed through Cache::access_batched —
-  /// identical arithmetic, no virtual dispatch on the hit path. The
-  /// multi-core interleaver (sim::System::run_mix) steps this per
-  /// record so blocked replay keeps the exact scalar round order.
-  /// Defined inline below so that per-record loop pays no cross-TU call.
-  void step_fast(const trace::Record& record, RunState& state);
-
-  /// Replays a block of records through the batched L1 entry points
-  /// (cache::Cache::access_batched). Records are stepped strictly in
+  /// Replays a block of records: `count` step() calls, strictly in
   /// order — IL1 and DL1 share the next level and the Bernoulli stream
-  /// is consumed per record — so the result is bit-identical to
-  /// `count` step() calls; the win is the devirtualized, division-free
-  /// cache fast path under each record.
+  /// is consumed per record, so no per-cache sub-batching is allowed.
   void step_batch(const trace::Record* records, std::size_t count,
                   RunState& state);
 
@@ -253,9 +241,8 @@ class Core {
 // Defined here (not in core.cpp) so the replay drivers — Core::run's
 // block loop and the multi-core interleaver in sim::System, which steps
 // one record per core per round — inline the whole per-record pipeline
-// model together with the cache's inline access_batched. The arithmetic
-// is EXACTLY step(): only the L1 dispatch differs.
-inline void Core::step_fast(const trace::Record& record, RunState& state) {
+// model together with the cache's inline access_batched.
+inline void Core::step(const trace::Record& record, RunState& state) {
   cache::Cache& il1_ = *ports_.il1;
   cache::Cache& dl1_ = *ports_.dl1;
   bool hit = false;
@@ -281,6 +268,8 @@ inline void Core::step_fast(const trace::Record& record, RunState& state) {
       if (!hit) {
         state.cycles += latency - consts_.dl1_hit;
       }
+      // Load-to-use: with probability p the consumer is adjacent and
+      // exposes the (hit latency - 1) bubble, including the EDC cycle.
       if (consts_.dl1_hit > 1 &&
           rng_.bernoulli(params_.load_use_adjacent_prob)) {
         state.cycles += consts_.dl1_hit - 1;
@@ -300,6 +289,8 @@ inline void Core::step_fast(const trace::Record& record, RunState& state) {
     case trace::Kind::kBranch: {
       if (record.taken && consts_.il1_hit > 1 &&
           rng_.bernoulli(params_.redirect_on_taken)) {
+        // Fetch redirect: the next fetch waits for the full IL1 hit
+        // latency (incl. the EDC cycle) instead of overlapping.
         state.cycles += consts_.il1_hit - 1;
       }
       break;
@@ -309,11 +300,8 @@ inline void Core::step_fast(const trace::Record& record, RunState& state) {
 
 inline void Core::step_batch(const trace::Record* records, std::size_t count,
                              RunState& state) {
-  // Strictly in record order: IL1 and DL1 share the next level, and the
-  // Bernoulli stream is consumed per load/branch — any per-cache
-  // sub-batching would reorder state the scalar path sees.
   for (std::size_t i = 0; i < count; ++i) {
-    step_fast(records[i], state);
+    step(records[i], state);
   }
 }
 

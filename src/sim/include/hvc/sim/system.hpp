@@ -131,21 +131,14 @@ class System {
   /// Runs an already-captured trace (on core 0).
   [[nodiscard]] cpu::RunResult run_trace(const trace::Tracer& tracer);
 
-  /// Streaming replay on core 0: records are pulled in blocks of
-  /// `block_records` (1 = the record-at-a-time scalar path; any block
-  /// size is bit-identical), so memory stays bounded by the source's
-  /// window plus one block for traces of any length. The source is
-  /// reset() first.
+  /// Streaming replay on core 0 (cpu::Core::run): records are pulled in
+  /// blocks of trace::kReplayBlockRecords, so memory stays bounded by the
+  /// source's window plus one block for traces of any length. The source
+  /// is reset() first. A non-null `profile` accumulates the per-phase
+  /// wall time (decode / access / retire) — the hvc_trace
+  /// `replay --profile` backend; the result is the same either way.
   [[nodiscard]] cpu::RunResult run_trace(
-      trace::TraceSource& source,
-      std::size_t block_records = trace::kReplayBlockRecords);
-
-  /// run_trace with per-phase wall time (decode / access / retire)
-  /// accumulated into `profile` — the hvc_trace `replay --profile`
-  /// backend. The replay result is bit-identical to run_trace.
-  [[nodiscard]] cpu::RunResult run_trace_profiled(trace::TraceSource& source,
-                                                  std::size_t block_records,
-                                                  cpu::ReplayProfile& profile);
+      trace::TraceSource& source, cpu::ReplayProfile* profile = nullptr);
 
   /// The workload seed of core `core` for a mix run at base `seed`:
   /// core 0 keeps the bare seed (a one-name mix on a one-core chip
@@ -164,22 +157,20 @@ class System {
   /// to run_workload).
   [[nodiscard]] MulticoreResult run_mix(
       const std::vector<std::string>& workloads, std::uint64_t seed = 1,
-      std::size_t scale = 1,
-      std::size_t block_records = trace::kReplayBlockRecords);
+      std::size_t scale = 1);
 
   /// The interleaving engine behind run_mix: one already-built trace
   /// source per core, stepped one record per core per round (bounded
   /// memory for N-core mixes of arbitrarily long traces). Each core's
-  /// records are pulled from its source in blocks of `block_records`
-  /// (amortizing per-record decode/dispatch) but executed strictly in
-  /// the same record-per-core round order as `block_records == 1`, so
-  /// every block size retires records — and drives the shared-level
-  /// arbiter — bit-identically. Sources are reset() first; `names`
-  /// labels MulticoreResult::core_workloads.
+  /// records are pulled from its source in blocks of
+  /// trace::kReplayBlockRecords (amortizing per-record decode/dispatch)
+  /// but executed strictly round-major, one record per core per round:
+  /// the retirement order — and with it the shared-level arbiter's
+  /// contention — does not depend on the block size. Sources are reset()
+  /// first; `names` labels MulticoreResult::core_workloads.
   [[nodiscard]] MulticoreResult run_mix_sources(
       const std::vector<trace::TraceSource*>& sources,
-      std::vector<std::string> names = {},
-      std::size_t block_records = trace::kReplayBlockRecords);
+      std::vector<std::string> names = {});
 
   /// Switches the whole chip between HP and ULE mode: gates/ungates cache
   /// ways (with the writeback/re-encode costs) and re-points the core at

@@ -285,14 +285,8 @@ cpu::RunResult System::run_trace(const trace::Tracer& tracer) {
 }
 
 cpu::RunResult System::run_trace(trace::TraceSource& source,
-                                 std::size_t block_records) {
-  return cores_[0]->run(source, block_records);
-}
-
-cpu::RunResult System::run_trace_profiled(trace::TraceSource& source,
-                                          std::size_t block_records,
-                                          cpu::ReplayProfile& profile) {
-  return cores_[0]->run_profiled(source, block_records, profile);
+                                 cpu::ReplayProfile* profile) {
+  return cores_[0]->run(source, profile);
 }
 
 std::uint64_t System::core_workload_seed(std::uint64_t seed,
@@ -305,8 +299,7 @@ std::uint64_t System::core_workload_seed(std::uint64_t seed,
 }
 
 MulticoreResult System::run_mix(const std::vector<std::string>& workloads,
-                                std::uint64_t seed, std::size_t scale,
-                                std::size_t block_records) {
+                                std::uint64_t seed, std::size_t scale) {
   expects(!workloads.empty(), "run_mix needs at least one workload");
   const std::size_t n = cores_.size();
 
@@ -338,14 +331,13 @@ MulticoreResult System::run_mix(const std::vector<std::string>& workloads,
     sources.push_back(owned.back().get());
     names.push_back(name);
   }
-  return run_mix_sources(sources, std::move(names), block_records);
+  return run_mix_sources(sources, std::move(names));
 }
 
 MulticoreResult System::run_mix_sources(
     const std::vector<trace::TraceSource*>& sources,
-    std::vector<std::string> names, std::size_t block_records) {
+    std::vector<std::string> names) {
   const std::size_t n = cores_.size();
-  expects(block_records > 0, "block_records must be at least 1");
   expects(sources.size() == n, "run_mix needs one trace source per core");
   expects(names.empty() || names.size() == n,
           "per-core names must match the core count");
@@ -384,125 +376,93 @@ MulticoreResult System::run_mix_sources(
   // Rotating start core, tracked incrementally: `(round + k) % n` with a
   // runtime n would put an integer divide on every record.
   std::size_t start = 0;
-  if (block_records == 1) {
-    // Scalar reference path: one virtual next() + one step() per record.
-    trace::Record record;
-    while (active > 0) {
-      for (std::size_t k = 0; k < n; ++k) {
-        std::size_t c = start + k;
-        if (c >= n) {
-          c -= n;
+  // Each core refills a private record buffer through next_batch()
+  // (amortized decode, no per-record virtual dispatch) but execution
+  // stays round-major with one record per core per round — shared-level
+  // state (L2 sets, arbiter occupancy) and each core's Bernoulli stream
+  // see one record-per-core order whatever the block size. A core
+  // retires in the round its refill comes back empty.
+  constexpr std::size_t kBlock = trace::kReplayBlockRecords;
+  std::vector<std::vector<trace::Record>> blocks(n);
+  std::vector<std::size_t> len(n, 0);
+  std::vector<std::size_t> pos(n, 0);
+  for (auto& block : blocks) {
+    block.resize(kBlock);
+  }
+  while (active > 0) {
+    if (active == 1) {
+      // Degenerate tail: one core left (mixes of unequal-length traces
+      // spend most of their rounds here, and a one-core chip starts
+      // here). Round order IS record order, so drop the per-record
+      // round scan: the requester declaration is loop-invariant
+      // (retired cores issue nothing), and with an arbiter each record
+      // still closes its own round, so the priority/occupancy
+      // accounting replays the generic loop exactly.
+      std::size_t c = 0;
+      while (done[c] != 0) {
+        ++c;
+      }
+      if (arb != nullptr) {
+        arb->begin_request(c);
+        for (;;) {
+          if (pos[c] == len[c]) {
+            len[c] = sources[c]->next_batch(blocks[c].data(), kBlock);
+            pos[c] = 0;
+            if (len[c] == 0) {
+              break;
+            }
+          }
+          const trace::Record* records = blocks[c].data();
+          const std::size_t end = len[c];
+          for (std::size_t p = pos[c]; p < end; ++p) {
+            cores[c]->step(records[p], states[c]);
+            arb->new_round();
+          }
+          pos[c] = end;
         }
-        if (done[c] != 0) {
-          continue;
+      } else {
+        // Nothing shared to arbitrate: whole blocks at a time.
+        if (pos[c] < len[c]) {
+          cores[c]->step_batch(blocks[c].data() + pos[c], len[c] - pos[c],
+                               states[c]);
+          pos[c] = len[c];
         }
-        if (!sources[c]->next(record)) {
+        std::size_t got = 0;
+        while ((got = sources[c]->next_batch(blocks[c].data(), kBlock)) > 0) {
+          cores[c]->step_batch(blocks[c].data(), got, states[c]);
+        }
+      }
+      done[c] = 1;
+      active = 0;
+      break;
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+      std::size_t c = start + k;
+      if (c >= n) {
+        c -= n;
+      }
+      if (done[c] != 0) {
+        continue;
+      }
+      if (pos[c] == len[c]) {
+        len[c] = sources[c]->next_batch(blocks[c].data(), kBlock);
+        pos[c] = 0;
+        if (len[c] == 0) {
           done[c] = 1;
           --active;
           continue;
         }
-        if (arb != nullptr) {
-          arb->begin_request(c);
-        }
-        cores[c]->step(record, states[c]);
       }
       if (arb != nullptr) {
-        arb->new_round();
+        arb->begin_request(c);
       }
-      if (++start == n) {
-        start = 0;
-      }
+      cores[c]->step(blocks[c][pos[c]++], states[c]);
     }
-  } else {
-    // Blocked path: each core refills a private record buffer through
-    // next_batch() (amortized decode, no per-record virtual dispatch)
-    // but execution stays round-major with one record per core per
-    // round — shared-level state (L2 sets, arbiter occupancy) and each
-    // core's Bernoulli stream see exactly the scalar order, so any
-    // block size is bit-identical. A core retires when its refill
-    // comes back empty: the same round its scalar next() would fail.
-    std::vector<std::vector<trace::Record>> blocks(n);
-    std::vector<std::size_t> len(n, 0);
-    std::vector<std::size_t> pos(n, 0);
-    for (auto& block : blocks) {
-      block.resize(block_records);
+    if (arb != nullptr) {
+      arb->new_round();
     }
-    while (active > 0) {
-      if (active == 1) {
-        // Degenerate tail: one core left (mixes of unequal-length traces
-        // spend most of their rounds here, and a one-core chip starts
-        // here). Round order IS record order, so drop the per-record
-        // round scan: the requester declaration is loop-invariant
-        // (retired cores issue nothing), and with an arbiter each record
-        // still closes its own round, so the priority/occupancy
-        // accounting replays the generic loop exactly.
-        std::size_t c = 0;
-        while (done[c] != 0) {
-          ++c;
-        }
-        if (arb != nullptr) {
-          arb->begin_request(c);
-          for (;;) {
-            if (pos[c] == len[c]) {
-              len[c] = sources[c]->next_batch(blocks[c].data(), block_records);
-              pos[c] = 0;
-              if (len[c] == 0) {
-                break;
-              }
-            }
-            const trace::Record* records = blocks[c].data();
-            const std::size_t end = len[c];
-            for (std::size_t p = pos[c]; p < end; ++p) {
-              cores[c]->step_fast(records[p], states[c]);
-              arb->new_round();
-            }
-            pos[c] = end;
-          }
-        } else {
-          // Nothing shared to arbitrate: whole blocks at a time.
-          if (pos[c] < len[c]) {
-            cores[c]->step_batch(blocks[c].data() + pos[c], len[c] - pos[c],
-                                 states[c]);
-            pos[c] = len[c];
-          }
-          std::size_t got = 0;
-          while ((got = sources[c]->next_batch(blocks[c].data(),
-                                               block_records)) > 0) {
-            cores[c]->step_batch(blocks[c].data(), got, states[c]);
-          }
-        }
-        done[c] = 1;
-        active = 0;
-        break;
-      }
-      for (std::size_t k = 0; k < n; ++k) {
-        std::size_t c = start + k;
-        if (c >= n) {
-          c -= n;
-        }
-        if (done[c] != 0) {
-          continue;
-        }
-        if (pos[c] == len[c]) {
-          len[c] = sources[c]->next_batch(blocks[c].data(), block_records);
-          pos[c] = 0;
-          if (len[c] == 0) {
-            done[c] = 1;
-            --active;
-            continue;
-          }
-        }
-        if (arb != nullptr) {
-          arb->begin_request(c);
-        }
-        cores[c]->step_fast(blocks[c][pos[c]++], states[c]);
-      }
-      if (arb != nullptr) {
-        arb->new_round();
-      }
-      if (++start == n) {
-        start = 0;
-      }
+    if (++start == n) {
+      start = 0;
     }
   }
 

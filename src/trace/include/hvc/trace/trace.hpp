@@ -21,9 +21,9 @@
 
 namespace hvc::trace {
 
-/// Default number of records pulled and stepped per block by the batch
-/// replay paths (cpu::Core::run, sim::System::run_mix, hvc_trace replay
-/// --block-size). 1 forces the record-at-a-time scalar path.
+/// Number of records the replay loops (cpu::Core::run,
+/// sim::System::run_mix_sources) pull from a TraceSource per next_batch()
+/// call and step as one block.
 inline constexpr std::size_t kReplayBlockRecords = 256;
 
 enum class Kind : std::uint8_t {
@@ -54,7 +54,7 @@ class Tracer;
 
 /// Pull interface over a stream of trace records. The CPU timing model
 /// (cpu::Core::run, sim::System::run_trace/run_mix) consumes traces
-/// through this interface only, one record at a time, so a replay's
+/// through this interface only, one block at a time, so a replay's
 /// memory footprint is bounded by the source's own window — an on-disk
 /// trace of any length replays without materializing a std::vector of
 /// every record (see TraceFileSource in trace_file.hpp).
@@ -62,27 +62,15 @@ class TraceSource {
  public:
   virtual ~TraceSource() = default;
 
-  /// Pulls the next record into `out`; returns false at end of trace
-  /// (and leaves `out` untouched).
-  virtual bool next(Record& out) = 0;
-
   /// Pulls up to `max` records into `out`; returns how many were
-  /// delivered (< max only at end of trace). Equivalent to `max` next()
-  /// calls — the default is exactly that loop — but overridable so
-  /// sources can amortize per-record dispatch/decode across a block
-  /// (MemoryTraceSource copies a span, TraceFileSource decodes a run of
-  /// varints without per-record virtual calls).
-  virtual std::size_t next_batch(Record* out, std::size_t max) {
-    std::size_t produced = 0;
-    while (produced < max && next(out[produced])) {
-      ++produced;
-    }
-    return produced;
-  }
+  /// delivered. Fewer than `max` (0 once drained) only at end of trace.
+  /// One virtual call per block: MemoryTraceSource copies a span,
+  /// TraceFileSource decodes a run of varints.
+  virtual std::size_t next_batch(Record* out, std::size_t max) = 0;
 
   /// Exact number of records the source will deliver after a reset(), or
   /// 0 when unknown. Drivers use it for progress/reservation only, never
-  /// for termination — next() returning false ends a replay.
+  /// for termination — an empty next_batch() ends a replay.
   [[nodiscard]] virtual std::uint64_t size_hint() const noexcept = 0;
 
   /// Rewinds to the first record (replay-many).
@@ -141,13 +129,6 @@ class MemoryTraceSource final : public TraceSource {
       : records_(&records) {}
   explicit MemoryTraceSource(const Tracer& tracer) noexcept;
 
-  bool next(Record& out) override {
-    if (pos_ >= records_->size()) {
-      return false;
-    }
-    out = (*records_)[pos_++];
-    return true;
-  }
   std::size_t next_batch(Record* out, std::size_t max) override {
     const std::size_t produced = std::min(max, records_->size() - pos_);
     std::copy_n(records_->data() + pos_, produced, out);

@@ -103,7 +103,7 @@ class TraceWriter {
 };
 
 /// Streaming reader over a .hvct file: validates header/footer up front,
-/// then decodes one record per next() out of a fixed-size refill window.
+/// then decodes records out of a fixed-size refill window.
 /// reset() seeks back to the payload start, so one source replays many
 /// times (sweeps) without reopening the file.
 class TraceFileSource final : public TraceSource {
@@ -114,9 +114,7 @@ class TraceFileSource final : public TraceSource {
   TraceFileSource(const TraceFileSource&) = delete;
   TraceFileSource& operator=(const TraceFileSource&) = delete;
 
-  bool next(Record& out) override;
-  /// Decodes a run of records without per-record virtual dispatch (the
-  /// decode state and refill window are shared with next()).
+  /// Decodes a run of records without per-record virtual dispatch.
   std::size_t next_batch(Record* out, std::size_t max) override;
   [[nodiscard]] std::uint64_t size_hint() const noexcept override {
     return info_.records;
@@ -127,6 +125,9 @@ class TraceFileSource final : public TraceSource {
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
 
  private:
+  /// Decodes the next record into `out`; false at end of trace (after
+  /// checking that the payload ends exactly at the last record).
+  [[nodiscard]] bool decode_one(Record& out);
   [[nodiscard]] std::uint8_t take_byte();
   [[nodiscard]] std::uint64_t take_varint();
 

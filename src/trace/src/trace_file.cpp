@@ -493,7 +493,7 @@ std::uint64_t TraceFileSource::take_varint() {
   throw bad_trace(path_, "varint longer than 64 bits");
 }
 
-bool TraceFileSource::next(Record& out) {
+bool TraceFileSource::decode_one(Record& out) {
   if (emitted_ == info_.records) {
     if (payload_consumed_ != info_.payload_bytes) {
       throw bad_trace(path_, "payload bytes left over after the last record");
@@ -521,7 +521,7 @@ bool TraceFileSource::next(Record& out) {
 
 std::size_t TraceFileSource::next_batch(Record* out, std::size_t max) {
   std::size_t produced = 0;
-  while (produced < max && next(out[produced])) {
+  while (produced < max && decode_one(out[produced])) {
     ++produced;
   }
   return produced;

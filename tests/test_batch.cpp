@@ -1,10 +1,14 @@
-// Differential pin of the batch access path (PR 7): every op issued
-// through Cache::access_batch / access_batched and every block size
-// threaded through Core::run / System::run_mix must be bit-identical —
-// all stats, every energy category as an exact double, every per-op
-// hit/latency — to the record-at-a-time scalar path. FP accumulation is
-// order-sensitive, so these tests use EXPECT_EQ on doubles throughout:
-// "close" means the batch path took a different arithmetic route.
+// Differential pins of the replay path, at two levels:
+//   * cache: every op issued through Cache::access_batched (the inline
+//     fast path the core drives) must be bit-identical — all stats, every
+//     energy category as an exact double, every per-op hit/latency — to
+//     a twin cache driven through the full scalar Cache::access();
+//   * system: Core::run and System::run_mix_sources (block-pulled
+//     sources, one-live-core tail) must match a test-local reference
+//     driver built from the public incremental API — one Core::step per
+//     record straight off the capture, one record per core per round.
+// FP accumulation is order-sensitive, so these tests use EXPECT_EQ on
+// doubles throughout: "close" means a different arithmetic route.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -54,12 +58,18 @@ struct CacheVariant {
   return config;
 }
 
+struct Op {
+  std::uint64_t addr = 0;
+  AccessType type = AccessType::kLoad;
+  std::uint32_t store_value = 0;
+};
+
 /// Mixed op stream over ~2x the cache footprint: hits, misses,
 /// evictions, 1 store per 4 ops, 1 ifetch per 7.
-[[nodiscard]] std::vector<cache::BatchOp> op_stream(std::size_t count,
-                                                    std::uint64_t seed) {
+[[nodiscard]] std::vector<Op> op_stream(std::size_t count,
+                                        std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<cache::BatchOp> ops(count);
+  std::vector<Op> ops(count);
   for (std::size_t i = 0; i < count; ++i) {
     ops[i].addr = (rng.below(2 * 8 * 1024) / 4) * 4;
     ops[i].type = (i % 4 == 3)   ? AccessType::kStore
@@ -90,13 +100,13 @@ void expect_stats_equal(const cache::Cache& scalar,
   EXPECT_EQ(scalar.edc_energy_j(), batched.edc_energy_j()) << what;
 }
 
-/// Drives the same op stream through a scalar twin and a batched twin
-/// (same config, same seeds) at the given block size, switching both to
-/// `switch_mode` at op `switch_at` when set. Compares every per-op
-/// hit/latency and the final stats/energy.
+/// Drives the same op stream through a scalar twin (access()) and a
+/// batched twin (access_batched(), one op at a time — exactly how
+/// cpu::Core issues them), switching both to `switch_mode` before op
+/// `switch_at` when set. Compares every per-op hit/latency and the final
+/// stats/energy.
 void run_differential(const cache::CacheConfig& config, power::Mode mode,
-                      std::size_t block, const char* what,
-                      std::size_t switch_at = 0,
+                      const char* what, std::size_t switch_at = 0,
                       power::Mode switch_mode = power::Mode::kHp) {
   cache::MainMemory mem_a, mem_b;
   Rng rng_a(7), rng_b(7);
@@ -108,32 +118,19 @@ void run_differential(const cache::CacheConfig& config, power::Mode mode,
   batched.set_mode(mode);
 
   const auto ops = op_stream(4096, 42);
-  cache::AccessBatch batch;
-  std::size_t i = 0;
-  while (i < ops.size()) {
-    if (switch_at != 0 && i == switch_at) {
+  for (std::size_t j = 0; j < ops.size(); ++j) {
+    if (switch_at != 0 && j == switch_at) {
       scalar.set_mode(switch_mode);
       batched.set_mode(switch_mode);
     }
-    std::size_t end = std::min(i + block, ops.size());
-    if (switch_at > i && switch_at < end) {
-      end = switch_at;  // the switch lands between two batches
-    }
-    batch.clear();
-    for (std::size_t j = i; j < end; ++j) {
-      batch.push(ops[j].addr, ops[j].type, ops[j].store_value);
-    }
-    batched.access_batch(batch);
-    for (std::size_t j = i; j < end; ++j) {
-      const auto ref =
-          scalar.access(ops[j].addr, ops[j].type, ops[j].store_value);
-      const cache::BatchOp& op = batch.ops[j - i];
-      ASSERT_EQ(ref.hit, op.hit) << what << " op " << j;
-      ASSERT_EQ(static_cast<std::uint32_t>(ref.latency_cycles),
-                op.latency_cycles)
-          << what << " op " << j;
-    }
-    i = end;
+    const Op& op = ops[j];
+    bool hit = false;
+    std::uint32_t latency = 0;
+    batched.access_batched(op.addr, op.type, op.store_value, hit, latency);
+    const auto ref = scalar.access(op.addr, op.type, op.store_value);
+    ASSERT_EQ(ref.hit, hit) << what << " op " << j;
+    ASSERT_EQ(static_cast<std::uint32_t>(ref.latency_cycles), latency)
+        << what << " op " << j;
   }
   expect_stats_equal(scalar, batched, what);
   // The stored memory images must agree too (stores/writebacks).
@@ -142,56 +139,49 @@ void run_differential(const cache::CacheConfig& config, power::Mode mode,
   }
 }
 
-class BatchBlockSizes : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(BatchBlockSizes, HpUncodedBitIdentical) {
+TEST(BatchTwin, HpUncodedBitIdentical) {
   run_differential(shaped_config(edc::Protection::kNone,
                                  edc::Protection::kSecded, 0.0,
                                  cache::WritePolicy::kWriteBackAllocate),
-                   power::Mode::kHp, GetParam(), "hp-uncoded");
+                   power::Mode::kHp, "hp-uncoded");
 }
 
-TEST_P(BatchBlockSizes, HpCodedBitIdentical) {
+TEST(BatchTwin, HpCodedBitIdentical) {
   // SECDED on every way at HP: lookup tag-decode charges, per-load data
   // decode and per-store encode all replay through the batch path.
   run_differential(shaped_config(edc::Protection::kSecded,
                                  edc::Protection::kSecded, 0.0,
                                  cache::WritePolicy::kWriteBackAllocate),
-                   power::Mode::kHp, GetParam(), "hp-coded");
+                   power::Mode::kHp, "hp-coded");
 }
 
-TEST_P(BatchBlockSizes, UleFaultyBitIdentical) {
+TEST(BatchTwin, UleFaultyBitIdentical) {
   // Exaggerated Pf: stuck tag bits force per-set scalar fallback and
   // stuck data bits feed the live correction path — both must land on
   // exactly the scalar counters.
   run_differential(shaped_config(edc::Protection::kNone,
                                  edc::Protection::kSecded, 3e-3,
                                  cache::WritePolicy::kWriteBackAllocate),
-                   power::Mode::kUle, GetParam(), "ule-faulty");
+                   power::Mode::kUle, "ule-faulty");
 }
 
-TEST_P(BatchBlockSizes, WriteThroughBitIdentical) {
+TEST(BatchTwin, WriteThroughBitIdentical) {
   run_differential(shaped_config(edc::Protection::kNone,
                                  edc::Protection::kSecded, 0.0,
                                  cache::WritePolicy::kWriteThroughNoAllocate),
-                   power::Mode::kHp, GetParam(), "write-through");
+                   power::Mode::kHp, "write-through");
 }
 
-TEST_P(BatchBlockSizes, MidStreamModeSwitchBitIdentical) {
-  // HP -> ULE at op 1000 (mid-block for every size > 1): the drain
-  // writebacks, the batch-context invalidation and the post-switch ULE
-  // accounting must all replay exactly.
+TEST(BatchTwin, MidStreamModeSwitchBitIdentical) {
+  // HP -> ULE at op 1000: the drain writebacks, the batch-context
+  // invalidation and the post-switch ULE accounting must all replay
+  // exactly.
   run_differential(shaped_config(edc::Protection::kNone,
                                  edc::Protection::kSecded, 1e-3,
                                  cache::WritePolicy::kWriteBackAllocate),
-                   power::Mode::kHp, GetParam(), "mode-switch", 1000,
+                   power::Mode::kHp, "mode-switch", 1000,
                    power::Mode::kUle);
 }
-
-// Block sizes: scalar degenerate (1), tiny odd (3), the replay default
-// (256), and one that does not divide the 4096-op stream evenly.
-INSTANTIATE_TEST_SUITE_P(Blocks, BatchBlockSizes,
-                         ::testing::Values(1, 3, 256, 1000));
 
 // ---------------------------------------------------------------------
 // Associativity sweep: the vectorized hit probe (PR 8) compares probe
@@ -233,60 +223,34 @@ TEST_P(BatchWays, HpUncodedBitIdentical) {
   run_differential(ways_config(GetParam(), edc::Protection::kNone,
                                edc::Protection::kSecded, 0.0,
                                cache::WritePolicy::kWriteBackAllocate),
-                   power::Mode::kHp, 256, "ways-hp-uncoded");
+                   power::Mode::kHp, "ways-hp-uncoded");
 }
 
 TEST_P(BatchWays, HpCodedBitIdentical) {
   run_differential(ways_config(GetParam(), edc::Protection::kSecded,
                                edc::Protection::kSecded, 0.0,
                                cache::WritePolicy::kWriteBackAllocate),
-                   power::Mode::kHp, 256, "ways-hp-coded");
+                   power::Mode::kHp, "ways-hp-coded");
 }
 
 TEST_P(BatchWays, UleFaultyBitIdentical) {
   run_differential(ways_config(GetParam(), edc::Protection::kNone,
                                edc::Protection::kSecded, 3e-3,
                                cache::WritePolicy::kWriteBackAllocate),
-                   power::Mode::kUle, 256, "ways-ule-faulty");
+                   power::Mode::kUle, "ways-ule-faulty");
 }
 
 TEST_P(BatchWays, WriteThroughBitIdentical) {
   run_differential(ways_config(GetParam(), edc::Protection::kNone,
                                edc::Protection::kSecded, 0.0,
                                cache::WritePolicy::kWriteThroughNoAllocate),
-                   power::Mode::kHp, 256, "ways-write-through");
+                   power::Mode::kHp, "ways-write-through");
 }
 
 INSTANTIATE_TEST_SUITE_P(Ways, BatchWays, ::testing::Values(1, 2, 4, 8));
 
-TEST(BatchDefaultLoop, MainMemoryLevelMatchesScalar) {
-  // The MemoryLevel base default (loop the scalar virtuals) is what
-  // ArbitratedLevel and out-of-tree levels inherit: pin it too.
-  cache::MainMemory mem_a, mem_b;
-  cache::MainMemoryLevel scalar(mem_a, 20);
-  cache::MainMemoryLevel batched(mem_b, 20);
-
-  const auto ops = op_stream(256, 9);
-  cache::AccessBatch batch;
-  for (const auto& op : ops) {
-    batch.push(op.addr, op.type, op.store_value);
-  }
-  batched.access_batch(batch);
-  for (std::size_t j = 0; j < ops.size(); ++j) {
-    const auto ref = scalar.access(ops[j].addr, ops[j].type,
-                                   ops[j].store_value);
-    EXPECT_EQ(ref.hit, batch.ops[j].hit);
-    EXPECT_EQ(static_cast<std::uint32_t>(ref.latency_cycles),
-              batch.ops[j].latency_cycles);
-  }
-  const auto sa = scalar.level_stats();
-  const auto sb = batched.level_stats();
-  EXPECT_EQ(sa.accesses, sb.accesses);
-  EXPECT_EQ(sa.hits, sb.hits);
-}
-
 // ---------------------------------------------------------------------
-// System-level differential: whole-run results across block sizes.
+// System-level differential: the replay loops against a reference driver.
 // ---------------------------------------------------------------------
 
 /// Bit-identical comparison of two run results (same contract as
@@ -335,99 +299,164 @@ void expect_run_identical(const cpu::RunResult& a, const cpu::RunResult& b,
   return config;
 }
 
-TEST(SystemBatch, RunTraceBlockSizesBitIdenticalFig3) {
-  // Fig. 3 shape: HP BigBench through the single-core replay loop.
-  const sim::SystemConfig config =
-      system_config(yield::Scenario::kA, power::Mode::kHp);
-  const auto workload = wl::find_workload("gsm_c").run(1, 1);
-  trace::MemoryTraceSource source(workload.tracer);
-
-  sim::System reference(config, sim::cell_plan_for(config.design.scenario));
-  const cpu::RunResult scalar = reference.run_trace(source, 1);
-  for (const std::size_t block : {std::size_t{3}, std::size_t{256},
-                                  std::size_t{1000}}) {
-    sim::System system(config, sim::cell_plan_for(config.design.scenario));
-    expect_run_identical(scalar, system.run_trace(source, block), "fig3");
-  }
-}
-
-TEST(SystemBatch, RunTraceBlockSizesBitIdenticalFig4) {
-  // Fig. 4 shape: ULE SmallBench (scenario B exercises DECTED at ULE).
-  const sim::SystemConfig config =
-      system_config(yield::Scenario::kB, power::Mode::kUle);
-  const auto workload = wl::find_workload("adpcm_c").run(1, 1);
-  trace::MemoryTraceSource source(workload.tracer);
-
-  sim::System reference(config, sim::cell_plan_for(config.design.scenario));
-  const cpu::RunResult scalar = reference.run_trace(source, 1);
-  for (const std::size_t block : {std::size_t{3}, std::size_t{256}}) {
-    sim::System system(config, sim::cell_plan_for(config.design.scenario));
-    expect_run_identical(scalar, system.run_trace(source, block), "fig4");
-  }
-}
-
-TEST(SystemBatch, RunTraceWithL2BitIdentical) {
-  const sim::SystemConfig config =
-      system_config(yield::Scenario::kA, power::Mode::kHp, 1, true);
-  const auto workload = wl::find_workload("epic_c").run(1, 1);
-  trace::MemoryTraceSource source(workload.tracer);
-
-  sim::System reference(config, sim::cell_plan_for(config.design.scenario));
-  const cpu::RunResult scalar = reference.run_trace(source, 1);
+/// Reference single-core replay on a fresh System: begin_run, one
+/// Core::step per record straight off the capture's vector, finish_run —
+/// no TraceSource, no blocks.
+[[nodiscard]] cpu::RunResult reference_run(const sim::SystemConfig& config,
+                                           const trace::Tracer& tracer) {
   sim::System system(config, sim::cell_plan_for(config.design.scenario));
-  expect_run_identical(scalar, system.run_trace(source, 256), "l2");
-}
-
-void expect_mix_identical(const sim::MulticoreResult& a,
-                          const sim::MulticoreResult& b, const char* what) {
-  ASSERT_EQ(a.per_core.size(), b.per_core.size()) << what;
-  for (std::size_t c = 0; c < a.per_core.size(); ++c) {
-    expect_run_identical(a.per_core[c], b.per_core[c], what);
+  cpu::Core& core = system.core();
+  core.begin_run();
+  cpu::Core::RunState state;
+  for (const trace::Record& record : tracer.records()) {
+    core.step(record, state);
   }
-  expect_run_identical(a.aggregate, b.aggregate, what);
+  return core.finish_run(state);
 }
 
-TEST(SystemBatch, RunMixArbiterBlockSizesBitIdentical) {
+/// Core::run through a block-pulling source must equal the reference.
+void expect_run_matches_reference(const sim::SystemConfig& config,
+                                  const char* workload, const char* what) {
+  const auto captured = wl::find_workload(workload).run(1, 1);
+  const cpu::RunResult reference = reference_run(config, captured.tracer);
+  trace::MemoryTraceSource source(captured.tracer);
+  sim::System system(config, sim::cell_plan_for(config.design.scenario));
+  expect_run_identical(reference, system.run_trace(source), what);
+}
+
+TEST(SystemReplay, RunTraceMatchesReferenceFig3) {
+  // Fig. 3 shape: HP BigBench through the single-core replay loop.
+  expect_run_matches_reference(
+      system_config(yield::Scenario::kA, power::Mode::kHp), "gsm_c", "fig3");
+}
+
+TEST(SystemReplay, RunTraceMatchesReferenceFig4) {
+  // Fig. 4 shape: ULE SmallBench (scenario B exercises DECTED at ULE).
+  expect_run_matches_reference(
+      system_config(yield::Scenario::kB, power::Mode::kUle), "adpcm_c",
+      "fig4");
+}
+
+TEST(SystemReplay, RunTraceWithL2MatchesReference) {
+  expect_run_matches_reference(
+      system_config(yield::Scenario::kA, power::Mode::kHp, 1, true), "epic_c",
+      "l2");
+}
+
+/// Reference multi-core replay on a fresh System: one record per core per
+/// round, the start core rotating every round, and the arbiter told the
+/// requester before each step and closed after each round. Returns the
+/// per-core results (shared levels excluded, as run_mix_sources reports
+/// them for N > 1) and leaves the system for shared-level inspection.
+[[nodiscard]] std::vector<cpu::RunResult> reference_mix(
+    sim::System& system, const std::vector<const trace::Tracer*>& traces) {
+  const std::size_t n = system.core_count();
+  cache::ArbitratedLevel* const arb = system.arbiter();
+  std::vector<cpu::Core::RunState> states(n);
+  std::vector<std::size_t> pos(n, 0);
+  for (std::size_t c = 0; c < n; ++c) {
+    system.core(c).begin_run();
+  }
+  for (std::size_t start = 0;; start = (start + 1) % n) {
+    bool stepped = false;
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t c = (start + k) % n;
+      const std::vector<trace::Record>& records = traces[c]->records();
+      if (pos[c] == records.size()) {
+        continue;
+      }
+      if (arb != nullptr) {
+        arb->begin_request(c);
+      }
+      system.core(c).step(records[pos[c]++], states[c]);
+      stepped = true;
+    }
+    if (!stepped) {
+      break;
+    }
+    if (arb != nullptr) {
+      arb->new_round();
+    }
+  }
+  std::vector<cpu::RunResult> per_core;
+  for (std::size_t c = 0; c < n; ++c) {
+    per_core.push_back(system.core(c).finish_run(states[c], false));
+  }
+  return per_core;
+}
+
+/// run_mix_sources (block refills, round-major stepping, one-live-core
+/// tail) against reference_mix on the same two captures. Returns the
+/// shared front level's contention cycles.
+std::uint64_t expect_mix_matches_reference(const sim::SystemConfig& config,
+                                           const char* workload_a,
+                                           const char* workload_b,
+                                           const char* what) {
+  const auto wl_a = wl::find_workload(workload_a).run(1, 1);
+  const auto wl_b = wl::find_workload(workload_b).run(1, 1);
+
+  sim::System reference(config, sim::cell_plan_for(config.design.scenario));
+  const std::vector<cpu::RunResult> expected =
+      reference_mix(reference, {&wl_a.tracer, &wl_b.tracer});
+
+  trace::MemoryTraceSource src_a(wl_a.tracer);
+  trace::MemoryTraceSource src_b(wl_b.tracer);
+  sim::System system(config, sim::cell_plan_for(config.design.scenario));
+  const sim::MulticoreResult mix =
+      system.run_mix_sources({&src_a, &src_b}, {workload_a, workload_b});
+
+  EXPECT_NE(wl_a.tracer.records().size(), wl_b.tracer.records().size())
+      << what << ": unequal lengths exercise the one-live-core tail";
+  EXPECT_EQ(mix.aggregate.instructions,
+            expected[0].instructions + expected[1].instructions)
+      << what;
+  EXPECT_EQ(mix.aggregate.cycles,
+            std::max(expected[0].cycles, expected[1].cycles))
+      << what;
+  [&] {
+    ASSERT_EQ(mix.per_core.size(), expected.size()) << what;
+    for (std::size_t c = 0; c < expected.size(); ++c) {
+      expect_run_identical(expected[c], mix.per_core[c], what);
+    }
+  }();
+
+  // The shared front level, contention counters included.
+  const cache::LevelStats want = reference.arbiter()->level_stats();
+  const cache::LevelStats* got = mix.aggregate.level(want.name);
+  EXPECT_NE(got, nullptr) << what;
+  if (got == nullptr) {
+    return 0;
+  }
+  EXPECT_EQ(got->accesses, want.accesses) << what;
+  EXPECT_EQ(got->hits, want.hits) << what;
+  EXPECT_EQ(got->contended_requests, want.contended_requests) << what;
+  EXPECT_EQ(got->contention_cycles, want.contention_cycles) << what;
+  EXPECT_EQ(got->dynamic_energy_j, want.dynamic_energy_j) << what;
+  EXPECT_EQ(got->edc_energy_j, want.edc_energy_j) << what;
+  EXPECT_EQ(system.arbiter()->arbitration_energy_j(),
+            reference.arbiter()->arbitration_energy_j())
+      << what;
+  return want.contention_cycles;
+}
+
+TEST(SystemReplay, RunMixArbiterMatchesReference) {
   // 2 cores contending for the shared memory port through the arbiter:
-  // the blocked interleaver must reproduce the scalar round order (and
-  // with it every contention cycle) at any block size.
-  const sim::SystemConfig config =
-      system_config(yield::Scenario::kA, power::Mode::kHp, 2, false);
-  const auto wl_a = wl::find_workload("gsm_c").run(1, 1);
-  const auto wl_b = wl::find_workload("adpcm_c").run(1, 1);
-
-  auto run_at = [&](std::size_t block) {
-    trace::MemoryTraceSource src_a(wl_a.tracer);
-    trace::MemoryTraceSource src_b(wl_b.tracer);
-    std::vector<trace::TraceSource*> sources{&src_a, &src_b};
-    sim::System system(config, sim::cell_plan_for(config.design.scenario));
-    return system.run_mix_sources(sources, {"gsm_c", "adpcm_c"}, block);
-  };
-
-  const sim::MulticoreResult scalar = run_at(1);
-  expect_mix_identical(scalar, run_at(3), "arbiter block 3");
-  expect_mix_identical(scalar, run_at(256), "arbiter block 256");
+  // the blocked interleaver must reproduce the reference round order,
+  // and with it every contention cycle.
+  const std::uint64_t contention = expect_mix_matches_reference(
+      system_config(yield::Scenario::kA, power::Mode::kHp, 2, false),
+      "gsm_c", "adpcm_c", "arbiter");
+  EXPECT_GT(contention, 0u);
 }
 
-TEST(SystemBatch, RunMixSharedL2BlockSizesBitIdentical) {
+TEST(SystemReplay, RunMixSharedL2MatchesReference) {
   // 2 cores in front of a shared L2 (arbiter + stateful shared level):
   // the strictest interleaving pin — L2 set state depends on the exact
   // cross-core record order.
-  const sim::SystemConfig config =
-      system_config(yield::Scenario::kA, power::Mode::kHp, 2, true);
-  const auto wl_a = wl::find_workload("epic_c").run(1, 1);
-  const auto wl_b = wl::find_workload("adpcm_d").run(1, 1);
-
-  auto run_at = [&](std::size_t block) {
-    trace::MemoryTraceSource src_a(wl_a.tracer);
-    trace::MemoryTraceSource src_b(wl_b.tracer);
-    std::vector<trace::TraceSource*> sources{&src_a, &src_b};
-    sim::System system(config, sim::cell_plan_for(config.design.scenario));
-    return system.run_mix_sources(sources, {"epic_c", "adpcm_d"}, block);
-  };
-
-  const sim::MulticoreResult scalar = run_at(1);
-  expect_mix_identical(scalar, run_at(256), "shared-l2 block 256");
+  const std::uint64_t contention = expect_mix_matches_reference(
+      system_config(yield::Scenario::kA, power::Mode::kHp, 2, true),
+      "epic_c", "adpcm_d", "shared-l2");
+  EXPECT_GT(contention, 0u);
 }
 
 }  // namespace

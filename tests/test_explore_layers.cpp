@@ -1,9 +1,9 @@
 // The layered sweep engine's seams: GridPointSource must enumerate the
-// exact expand_points() order at any batch size (point index == RNG
-// stream identity, so this is a determinism pin, not a style check),
-// ListPointSource preserves given indices, the sinks format/tally rows
-// faithfully, and an Executor fed a subset of a grid reproduces the
-// matching rows of a full run_sweep byte-for-byte.
+// documented nested-loop order (reference_points below) at any batch
+// size (point index == RNG stream identity, so this is a determinism
+// pin, not a style check), ListPointSource preserves given indices, the
+// sinks format/tally rows faithfully, and an Executor fed a subset of a
+// grid reproduces the matching rows of a full run_sweep byte-for-byte.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -56,6 +56,75 @@ constexpr const char* kMethodologySpec = R"({
   }
 })";
 
+/// Independent reference for the grid order: the documented axis order as
+/// one plain nested loop. GridPointSource's odometer (and expand_points,
+/// which drains it) must reproduce it point for point.
+[[nodiscard]] std::vector<SweepPoint> reference_points(const SweepSpec& spec) {
+  std::vector<SweepPoint> points;
+  points.reserve(spec.point_count());
+  const bool simulation = spec.kind == SweepKind::kSimulation;
+  // Single nested loop in the documented order; the degenerate axes of a
+  // methodology sweep collapse to one iteration each.
+  const std::vector<bool> designs = simulation ? spec.designs
+                                               : std::vector<bool>{false};
+  const std::vector<std::string> l2_designs =
+      simulation ? spec.l2_designs : std::vector<std::string>{"none"};
+  const std::vector<double> l2_sizes =
+      simulation ? spec.l2_size_kbs : std::vector<double>{64.0};
+  const std::vector<std::size_t> cores =
+      simulation ? spec.cores : std::vector<std::size_t>{1};
+  const std::vector<power::Mode> modes =
+      simulation ? spec.modes : std::vector<power::Mode>{power::Mode::kHp};
+  // The workload slot iterates over plain names or over per-core mixes,
+  // whichever the spec declares.
+  const bool mixes = simulation && !spec.workload_mixes.empty();
+  const std::vector<std::string> workloads =
+      !simulation ? std::vector<std::string>{""}
+      : mixes     ? spec.workload_mixes
+                  : spec.workloads;
+  const std::vector<double> scrubs =
+      simulation ? spec.scrub_intervals_s : std::vector<double>{0.0};
+  for (const auto scenario : spec.scenarios) {
+    for (const bool proposed : designs) {
+      for (const auto& l2_design : l2_designs) {
+        // The "none" shape has no L2 to size: one point, not one per size.
+        const std::size_t size_count =
+            l2_design == "none" ? 1 : l2_sizes.size();
+        for (std::size_t si = 0; si < size_count; ++si) {
+          const double l2_size_kb = l2_sizes[si];
+          for (const std::size_t core_count : cores) {
+            for (const auto mode : modes) {
+              for (const double hp_vcc : spec.hp_vccs) {
+                for (const double ule_vcc : spec.ule_vccs) {
+                  for (const auto& workload : workloads) {
+                    for (const double scrub : scrubs) {
+                      SweepPoint point;
+                      point.index = points.size();
+                      point.scenario = scenario;
+                      point.proposed = proposed;
+                      point.l2_design = l2_design;
+                      point.l2_size_kb = l2_size_kb;
+                      point.cores = core_count;
+                      point.mode = mode;
+                      point.hp_vcc = hp_vcc;
+                      point.ule_vcc = ule_vcc;
+                      (mixes ? point.workload_mix : point.workload) =
+                          workload;
+                      point.scrub_interval_s = scrub;
+                      points.push_back(std::move(point));
+                    }
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  return points;
+}
+
 [[nodiscard]] std::vector<SweepPoint> drain(PointSource& source,
                                             std::size_t batch) {
   std::vector<SweepPoint> points;
@@ -85,10 +154,11 @@ void expect_same_points(const std::vector<SweepPoint>& actual,
   }
 }
 
-TEST(GridPointSourceTest, MatchesExpandPointsAtEveryBatchSize) {
+TEST(GridPointSourceTest, MatchesReferenceLoopAtEveryBatchSize) {
   for (const char* text : {kGridSpec, kMixSpec, kMethodologySpec}) {
     const SweepSpec spec = SweepSpec::parse(text);
-    const std::vector<SweepPoint> expected = expand_points(spec);
+    const std::vector<SweepPoint> expected = reference_points(spec);
+    expect_same_points(expand_points(spec), expected);
     for (const std::size_t batch : {std::size_t{1}, std::size_t{3},
                                     std::size_t{7}, std::size_t{1000}}) {
       GridPointSource source(spec);
@@ -107,10 +177,10 @@ TEST(GridPointSourceTest, MatchesExpandPointsAtEveryBatchSize) {
 TEST(GridPointSourceTest, L2NoneCollapsesTheSizeAxis) {
   const SweepSpec spec = SweepSpec::parse(kGridSpec);
   // l2="none" contributes 1 (not 2) size variants, so the lazy count and
-  // the eager expansion must both see the collapse.
+  // the reference loop must both see the collapse.
   GridPointSource source(spec);
   EXPECT_EQ(source.estimated_remaining(), spec.point_count());
-  EXPECT_EQ(source.estimated_remaining(), expand_points(spec).size());
+  EXPECT_EQ(source.estimated_remaining(), reference_points(spec).size());
 }
 
 TEST(GridPointSourceTest, CountMatchesAcrossPartialDrain) {

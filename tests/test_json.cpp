@@ -1,6 +1,8 @@
 // hvc::Json parser/writer tests.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "hvc/common/error.hpp"
 #include "hvc/common/json.hpp"
 
@@ -71,6 +73,38 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(Json::parse("1 2"), ConfigError);
   EXPECT_THROW(Json::parse("{\"a\": 1} x"), ConfigError);
   EXPECT_THROW(Json::parse("{1: 2}"), ConfigError);
+}
+
+TEST(Json, NestingDepthIsCapped) {
+  // Exactly at the cap parses, arrays and objects alike.
+  const std::string at_cap = std::string(kJsonMaxDepth, '[') +
+                             std::string(kJsonMaxDepth, ']');
+  EXPECT_TRUE(Json::parse(at_cap).is_array());
+  std::string objects;
+  for (std::size_t i = 0; i < kJsonMaxDepth; ++i) {
+    objects += "{\"k\": ";
+  }
+  objects += "0" + std::string(kJsonMaxDepth, '}');
+  EXPECT_TRUE(Json::parse(objects).is_object());
+
+  // One level deeper, mixed nesting, and a hostile 2M-deep document all
+  // get a typed error instead of overflowing the stack.
+  EXPECT_THROW(Json::parse(std::string(kJsonMaxDepth + 1, '[') +
+                           std::string(kJsonMaxDepth + 1, ']')),
+               ConfigError);
+  std::string mixed;
+  for (std::size_t i = 0; i <= kJsonMaxDepth; ++i) {
+    mixed += i % 2 == 0 ? "[" : "{\"k\": ";
+  }
+  EXPECT_THROW(Json::parse(mixed), ConfigError);
+  try {
+    (void)Json::parse(std::string(2'000'000, '['));
+    ADD_FAILURE() << "2M-deep document parsed";
+  } catch (const ConfigError& error) {
+    EXPECT_NE(std::string(error.what()).find("nesting deeper than"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(Json, RejectsDuplicateKeys) {

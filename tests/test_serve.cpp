@@ -1,9 +1,9 @@
 // In-process tests for the hvc_explore serve daemon: the line-delimited
 // JSON protocol, byte-identity of streamed rows against run_sweep,
 // concurrent clients sharing one executor and store, error events for
-// bad requests, and the clean-shutdown contract (a stopped daemon's
-// store passes fsck with exit-code-0 status, and a resumed daemon
-// answers the same bytes warm).
+// bad (including hostile, deeply nested) requests, and the clean-shutdown
+// contract (a stopped daemon's store passes fsck with exit-code-0 status,
+// and a resumed daemon answers the same bytes warm).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -168,6 +168,30 @@ TEST(ServeTest, SecondQueryOnOneConnectionAndBadRequestRecovery) {
     ASSERT_NE(kind, "error");
   }
   EXPECT_EQ(rows, SweepSpec::parse(kSpecText).point_count());
+}
+
+TEST(ServeTest, DeeplyNestedRequestGetsAnErrorAndTheDaemonKeepsServing) {
+  const std::string socket_path = temp_name("deep.sock");
+  ServiceRunner runner(ServeOptions{socket_path, "", false, 2, false});
+
+  // 2M nested '[' once overflowed the recursive parser's stack and
+  // killed the daemon; now it is a bad request like any other.
+  {
+    UnixStream stream = UnixStream::connect(socket_path);
+    ASSERT_TRUE(stream.send_line(std::string(2'000'000, '[')));
+    std::string line;
+    ASSERT_EQ(stream.read_line(line), UnixStream::ReadStatus::kLine);
+    const Json event = Json::parse(line);
+    EXPECT_EQ(event.at("event").as_string(), "error");
+    EXPECT_NE(event.at("error").as_string().find("nesting deeper than"),
+              std::string::npos)
+        << event.at("error").as_string();
+  }
+
+  // The same daemon still answers with the batch engine's exact bytes.
+  const QueryResult result = query(socket_path, kSpecText, "after-deep");
+  EXPECT_TRUE(result.error.empty()) << result.error;
+  EXPECT_EQ(result.csv, run_sweep(SweepSpec::parse(kSpecText), 1).to_csv());
 }
 
 TEST(ServeTest, ConcurrentClientsShareTheStoreAndStayByteIdentical) {

@@ -1,10 +1,8 @@
-// ThreadPool / parallel_for tests.
+// ThreadPool tests.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
-#include <vector>
 
 #include "hvc/common/thread_pool.hpp"
 
@@ -47,53 +45,6 @@ TEST(ThreadPool, WaitRethrowsFirstTaskError) {
 TEST(ThreadPool, ZeroThreadsClampsToOne) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 1u);
-}
-
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{3},
-                                    std::size_t{8}}) {
-    std::vector<std::atomic<int>> hits(257);
-    parallel_for(0, hits.size(), threads,
-                 [&hits](std::size_t i) { hits[i].fetch_add(1); });
-    for (const auto& hit : hits) {
-      EXPECT_EQ(hit.load(), 1);
-    }
-  }
-}
-
-TEST(ParallelFor, HandlesSubranges) {
-  std::atomic<std::size_t> sum{0};
-  parallel_for(10, 20, 4, [&sum](std::size_t i) { sum.fetch_add(i); });
-  EXPECT_EQ(sum.load(), std::size_t{145});  // 10 + ... + 19
-}
-
-TEST(ParallelFor, EmptyRangeIsNoop) {
-  parallel_for(5, 5, 4, [](std::size_t) { FAIL(); });
-}
-
-TEST(ParallelFor, MoreThreadsThanWork) {
-  std::atomic<int> counter{0};
-  parallel_for(0, 2, 16, [&counter](std::size_t) { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 2);
-}
-
-TEST(ParallelFor, PropagatesExceptions) {
-  EXPECT_THROW(
-      parallel_for(0, 64, 4,
-                   [](std::size_t i) {
-                     if (i == 13) {
-                       throw std::runtime_error("boom");
-                     }
-                   }),
-      std::runtime_error);
-}
-
-TEST(ParallelFor, InlineWhenSingleThreaded) {
-  // threads == 1 must run on the calling thread (no pool, sanitizer
-  // baseline); observable via thread-local state.
-  thread_local int marker = 0;
-  marker = 7;
-  parallel_for(0, 4, 1, [](std::size_t) { EXPECT_EQ(marker, 7); });
 }
 
 TEST(ThreadPool, HardwareThreadsIsPositive) {

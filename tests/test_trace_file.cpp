@@ -1,7 +1,8 @@
 // Streaming .hvct trace capture/replay: format round-trip, corruption
-// and truncation error paths, bounded-window reading, and the
-// differential pin that replaying a recorded trace from disk is
-// bit-identical to the in-memory run on 1- and 2-core systems.
+// and truncation error paths, bounded-window reading, the differential
+// pin that replaying a recorded trace from disk is bit-identical to the
+// in-memory run on 1- and 2-core systems, and the profiled replay
+// (hvc_trace replay --profile) matching the plain one.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -37,7 +38,7 @@ wl::WorkloadResult record_workload(const std::string& name,
 [[nodiscard]] std::vector<Record> drain(TraceSource& source) {
   std::vector<Record> records;
   Record record;
-  while (source.next(record)) {
+  while (source.next_batch(&record, 1) == 1) {
     records.push_back(record);
   }
   return records;
@@ -204,7 +205,7 @@ TEST_F(TraceFileErrors, ReservedTagBitsThrow) {
   spit(path_, bytes_);
   TraceFileSource source(path_);
   Record record;
-  EXPECT_THROW((void)source.next(record), ConfigError);
+  EXPECT_THROW((void)source.next_batch(&record, 1), ConfigError);
 }
 
 TEST_F(TraceFileErrors, RecordCountBeyondPayloadThrows) {
@@ -219,7 +220,7 @@ TEST_F(TraceFileErrors, RecordCountBeyondPayloadThrows) {
   Record record;
   EXPECT_THROW(
       {
-        while (source.next(record)) {
+        while (source.next_batch(&record, 1) == 1) {
         }
       },
       ConfigError);
@@ -235,7 +236,7 @@ TEST_F(TraceFileErrors, LeftoverPayloadThrows) {
   Record record;
   EXPECT_THROW(
       {
-        while (source.next(record)) {
+        while (source.next_batch(&record, 1) == 1) {
         }
       },
       ConfigError);
@@ -524,6 +525,48 @@ TEST(TraceReplayDifferential, UleSmallBenchDiskReplayBitIdentical) {
   sim::System system(config, sim::cell_plan_for(config.design.scenario));
   TraceFileSource source(path);
   expect_bit_identical(system.run_trace(source), live);
+}
+
+TEST(TraceReplayProfile, ProfiledRunMatchesPlainRunFromMemoryAndDisk) {
+  // The profile timers sit in the one replay loop; asking for them must
+  // not change a single result field, from either kind of source, and
+  // the record/block tallies must describe the run exactly.
+  const std::string path = temp_path("profile_adpcm.hvct");
+  const wl::WorkloadResult workload = record_workload("adpcm_c", path);
+  const std::uint64_t records = workload.tracer.records().size();
+  const std::uint64_t blocks =
+      (records + kReplayBlockRecords - 1) / kReplayBlockRecords;
+  ASSERT_GT(blocks, 1u);
+
+  sim::SystemConfig config;
+  config.design.scenario = yield::Scenario::kB;
+  config.design.proposed = true;
+  config.mode = power::Mode::kUle;
+  const yield::CacheCellPlan& plan =
+      sim::cell_plan_for(config.design.scenario);
+
+  MemoryTraceSource memory(workload.tracer);
+  TraceFileSource file(path);
+  for (TraceSource* source : {static_cast<TraceSource*>(&memory),
+                              static_cast<TraceSource*>(&file)}) {
+    sim::System plain(config, plan);
+    const cpu::RunResult expected = plain.run_trace(*source);
+
+    sim::System profiled(config, plan);
+    cpu::ReplayProfile profile;
+    expect_bit_identical(profiled.run_trace(*source, &profile), expected);
+    EXPECT_EQ(profile.records, records);
+    EXPECT_EQ(profile.blocks, blocks);
+    EXPECT_GT(profile.access_s, 0.0);
+    EXPECT_GE(profile.decode_s, 0.0);
+    EXPECT_GE(profile.retire_s, 0.0);
+
+    // A profile accumulates across runs.
+    sim::System again(config, plan);
+    expect_bit_identical(again.run_trace(*source, &profile), expected);
+    EXPECT_EQ(profile.records, 2 * records);
+    EXPECT_EQ(profile.blocks, 2 * blocks);
+  }
 }
 
 }  // namespace

@@ -12,7 +12,7 @@
 //   hvc_trace fsck <file> [--repair]
 //   hvc_trace replay <file> [--scenario A|B] [--design baseline|proposed]
 //                           [--mode hp|ule] [--cores N] [--system-seed S]
-//                           [--block-size N]
+//                           [--profile]
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -47,13 +47,10 @@ void print_usage(std::FILE* stream) {
       "      a valid footer\n"
       "  replay <file> [--scenario A|B] [--design baseline|proposed]\n"
       "                [--mode hp|ule] [--cores N] [--system-seed S]\n"
-      "                [--block-size N] [--profile]\n"
+      "                [--profile]\n"
       "      replay a recorded trace through a simulated chip and print\n"
       "      the timing/energy summary (cores > 1 replays the same trace\n"
-      "      on every core through the shared-level arbiter; --block-size\n"
-      "      sets how many records are pulled and stepped per batch —\n"
-      "      default 256, 1 forces the record-at-a-time scalar path;\n"
-      "      every block size prints bit-identical results; --profile\n"
+      "      on every core through the shared-level arbiter; --profile\n"
       "      additionally prints the replay's wall-time split between\n"
       "      decode, access and retire phases — single-core only)\n"
       "\n"
@@ -207,7 +204,6 @@ int cmd_fsck(int argc, char** argv) {
 int cmd_replay(int argc, char** argv) {
   std::string path;
   hvc::sim::SystemConfig config;
-  std::size_t block_records = hvc::trace::kReplayBlockRecords;
   bool profile = false;
   for (int i = 2; i < argc; ++i) {
     const char* arg = argv[i];
@@ -244,12 +240,6 @@ int cmd_replay(int argc, char** argv) {
     } else if (std::strcmp(arg, "--system-seed") == 0) {
       config.seed =
           parse_u64_arg("--system-seed", value_of(argc, argv, i));
-    } else if (std::strcmp(arg, "--block-size") == 0) {
-      block_records = static_cast<std::size_t>(
-          parse_u64_arg("--block-size", value_of(argc, argv, i)));
-      if (block_records == 0) {
-        throw std::runtime_error("--block-size must be >= 1");
-      }
     } else if (path.empty() && arg[0] != '-') {
       path = arg;
     } else {
@@ -271,11 +261,9 @@ int cmd_replay(int argc, char** argv) {
   hvc::cpu::ReplayProfile prof;
   if (config.num_cores == 1) {
     hvc::trace::TraceFileSource source(path);
-    result = profile
-                 ? system.run_trace_profiled(source, block_records, prof)
-                 : system.run_trace(source, block_records);
+    result = system.run_trace(source, profile ? &prof : nullptr);
   } else {
-    result = system.run_mix({"trace:" + path}, 1, 1, block_records).aggregate;
+    result = system.run_mix({"trace:" + path}).aggregate;
   }
 
   std::printf("replayed %s on %zu core(s), %s/%s, %s mode\n", path.c_str(),
