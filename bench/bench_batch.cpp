@@ -28,7 +28,8 @@ enum Shape : std::int64_t {
   kResident = 0,   ///< uncoded HP, working set fits: all-hit fast path
   kStreaming = 1,  ///< uncoded HP, ~2x footprint: miss/evict mix
   kCoded = 2,      ///< SECDED on every way at HP: per-access codec tail
-  kFaulty = 3,     ///< ULE with exaggerated Pf: per-set scalar fallback
+  kFaulty = 3,     ///< ULE with exaggerated Pf, working set = the ULE
+                   ///< way: fault-perturbed hits (scalar fallback)
 };
 
 [[nodiscard]] const char* shape_name(std::int64_t shape) {
@@ -88,9 +89,19 @@ struct Op {
 }
 
 /// The resident shape keeps the working set at half the cache so that,
-/// after one warmup pass, every timed access is an inline-probe hit.
+/// after one warmup pass, every timed access is an inline-probe hit. The
+/// faulty shape runs at ULE, where only the 1 KB ULE way is active, so
+/// its working set is that way: it prices hits perturbed by faults
+/// rather than the miss path.
 [[nodiscard]] std::size_t shape_footprint(std::int64_t shape) {
-  return shape == kResident ? 4 * 1024 : 2 * 8 * 1024;
+  switch (shape) {
+    case kResident:
+      return 4 * 1024;
+    case kFaulty:
+      return 1024;
+    default:
+      return 2 * 8 * 1024;
+  }
 }
 
 /// One cache of `shape`, warmed by one pass over `ops` so the timed

@@ -88,7 +88,8 @@ void BM_TraceDecode(benchmark::State& state) {
     source.reset();
     std::size_t got = 0;
     while ((got = source.next_batch(block, trace::kReplayBlockRecords)) > 0) {
-      benchmark::DoNotOptimize(block[got - 1].addr);
+      const std::uint64_t last_addr = block[got - 1].addr;
+      benchmark::DoNotOptimize(last_addr);
       records += got;
     }
   }

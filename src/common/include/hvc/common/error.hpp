@@ -3,11 +3,17 @@
 // Style follows the C++ Core Guidelines: preconditions are checked with
 // ensure()/expects() which throw rather than abort, so library users can
 // recover and tests can assert on failures.
+//
+// A passing check costs only its test: the message is a string_view, so a
+// literal builds no std::string, and the text (plus the
+// "at file:line (function)" suffix) is formatted out of line, only on the
+// failing branch. Replay loops call these once per trace record.
 #pragma once
 
 #include <source_location>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace hvc {
 
@@ -31,25 +37,27 @@ class ConfigError : public std::runtime_error {
 };
 
 namespace detail {
-[[nodiscard]] inline std::string locate(const std::source_location& loc) {
-  return std::string(loc.file_name()) + ":" + std::to_string(loc.line()) +
-         " (" + loc.function_name() + ")";
-}
+/// Throw PreconditionError / InvariantError with the text
+/// "<msg> at <file>:<line> (<function>)".
+[[noreturn]] void throw_precondition(std::string_view msg,
+                                     const std::source_location& loc);
+[[noreturn]] void throw_invariant(std::string_view msg,
+                                  const std::source_location& loc);
 }  // namespace detail
 
 /// Precondition check: throws PreconditionError when `cond` is false.
-inline void expects(bool cond, const std::string& msg,
+inline void expects(bool cond, std::string_view msg,
                     std::source_location loc = std::source_location::current()) {
-  if (!cond) {
-    throw PreconditionError(msg + " at " + detail::locate(loc));
+  if (!cond) [[unlikely]] {
+    detail::throw_precondition(msg, loc);
   }
 }
 
 /// Invariant check: throws InvariantError when `cond` is false.
-inline void ensure(bool cond, const std::string& msg,
+inline void ensure(bool cond, std::string_view msg,
                    std::source_location loc = std::source_location::current()) {
-  if (!cond) {
-    throw InvariantError(msg + " at " + detail::locate(loc));
+  if (!cond) [[unlikely]] {
+    detail::throw_invariant(msg, loc);
   }
 }
 

@@ -42,22 +42,33 @@ class UnixStream {
   /// send_all of line + '\n'.
   bool send_line(const std::string& line);
 
+  /// Longest line read_line() returns, terminator excluded. A longer
+  /// line is never buffered whole: a peer cannot grow a reader's memory
+  /// past this (plus one recv chunk) by withholding the newline.
+  static constexpr std::size_t kMaxLineBytes = std::size_t{4} << 20;
+
   enum class ReadStatus {
     kLine,         ///< `out` holds one line (terminator stripped)
     kEof,          ///< peer closed cleanly (partial trailing data dropped)
     kInterrupted,  ///< wake_fd became readable before a full line arrived
+    kTooLong,      ///< the current line passed kMaxLineBytes; its bytes up
+                   ///< to the next '\n' are dropped and the stream stays
+                   ///< usable for the lines after it
   };
 
   /// Blocks for the next '\n'-terminated line. With wake_fd >= 0 the
   /// wait also ends (kInterrupted) when that fd is readable; the fd is
-  /// left untouched so it keeps waking other waiters.
+  /// left untouched so it keeps waking other waiters. Each received byte
+  /// is scanned for the terminator once.
   ReadStatus read_line(std::string& out, int wake_fd = -1);
 
   void close() noexcept;
 
  private:
   int fd_ = -1;
-  std::string buffer_;  ///< bytes received past the last returned line
+  std::string buffer_;     ///< bytes received past the last returned line
+  std::size_t scanned_ = 0;  ///< prefix of buffer_ known to hold no '\n'
+  bool discarding_ = false;  ///< inside a line already reported kTooLong
 };
 
 /// A bound + listening Unix-domain socket. Binding recovers from stale

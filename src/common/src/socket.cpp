@@ -70,13 +70,17 @@ UnixStream::~UnixStream() { close(); }
 
 UnixStream::UnixStream(UnixStream&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
-      buffer_(std::move(other.buffer_)) {}
+      buffer_(std::move(other.buffer_)),
+      scanned_(std::exchange(other.scanned_, 0)),
+      discarding_(std::exchange(other.discarding_, false)) {}
 
 UnixStream& UnixStream::operator=(UnixStream&& other) noexcept {
   if (this != &other) {
     close();
     fd_ = std::exchange(other.fd_, -1);
     buffer_ = std::move(other.buffer_);
+    scanned_ = std::exchange(other.scanned_, 0);
+    discarding_ = std::exchange(other.discarding_, false);
   }
   return *this;
 }
@@ -126,12 +130,30 @@ bool UnixStream::send_line(const std::string& line) {
 UnixStream::ReadStatus UnixStream::read_line(std::string& out, int wake_fd) {
   expects(valid(), "read on a closed stream");
   for (;;) {
-    const std::size_t newline = buffer_.find('\n');
+    const std::size_t newline = buffer_.find('\n', scanned_);
     if (newline != std::string::npos) {
-      out.assign(buffer_, 0, newline);
+      const bool was_discarding = discarding_;
+      const bool fits = newline <= kMaxLineBytes;
+      if (!was_discarding && fits) {
+        out.assign(buffer_, 0, newline);
+      }
       buffer_.erase(0, newline + 1);
-      return ReadStatus::kLine;
+      scanned_ = 0;
+      discarding_ = false;
+      if (!was_discarding) {
+        return fits ? ReadStatus::kLine : ReadStatus::kTooLong;
+      }
+      continue;  // the tail of a line already reported kTooLong
     }
+    if (discarding_) {
+      buffer_.clear();
+    } else if (buffer_.size() > kMaxLineBytes) {
+      buffer_.clear();
+      scanned_ = 0;
+      discarding_ = true;
+      return ReadStatus::kTooLong;
+    }
+    scanned_ = buffer_.size();
     if (!wait_readable(fd_, wake_fd)) {
       return ReadStatus::kInterrupted;
     }
@@ -160,6 +182,8 @@ void UnixStream::close() noexcept {
     fd_ = -1;
   }
   buffer_.clear();
+  scanned_ = 0;
+  discarding_ = false;
 }
 
 UnixListener::~UnixListener() { close(); }

@@ -23,6 +23,21 @@ namespace {
 /// is aborted and the connection closed; other clients are unaffected.
 struct ClientGone {};
 
+/// Sends an `error` event (echoing `id` when the request carried one);
+/// throws ClientGone when the peer hung up.
+void send_error(UnixStream& stream, const Json* id,
+                const std::string& message) {
+  Json event;
+  event.set("event", Json("error"));
+  if (id != nullptr) {
+    event.set("id", *id);
+  }
+  event.set("error", Json(message));
+  if (!stream.send_line(event.dump())) {
+    throw ClientGone{};
+  }
+}
+
 /// Streams one query's events onto the client socket. Lives on the
 /// connection thread; the executor serializes all calls, so no locking.
 class SocketSink final : public ResultSink {
@@ -178,13 +193,21 @@ void Service::serve_connection(UnixStream stream) {
   for (;;) {
     const UnixStream::ReadStatus status =
         stream.read_line(line, stop_pipe_.read_fd());
-    if (status != UnixStream::ReadStatus::kLine) {
-      return;  // client left, or shutdown woke us
-    }
-    if (line.empty()) {
-      continue;
-    }
     try {
+      if (status == UnixStream::ReadStatus::kTooLong) {
+        // A bad request like any other: the connection stays open, and
+        // the rest of the over-long line is dropped unbuffered.
+        send_error(stream, nullptr,
+                   "request line longer than " +
+                       std::to_string(UnixStream::kMaxLineBytes) + " bytes");
+        continue;
+      }
+      if (status != UnixStream::ReadStatus::kLine) {
+        return;  // client left, or shutdown woke us
+      }
+      if (line.empty()) {
+        continue;
+      }
       handle_request(stream, line);
     } catch (const ClientGone&) {
       return;
@@ -196,15 +219,7 @@ void Service::handle_request(UnixStream& stream, const std::string& line) {
   Json id;
   bool has_id = false;
   const auto fail = [&](const std::string& message) {
-    Json event;
-    event.set("event", Json("error"));
-    if (has_id) {
-      event.set("id", id);
-    }
-    event.set("error", Json(message));
-    if (!stream.send_line(event.dump())) {
-      throw ClientGone{};
-    }
+    send_error(stream, has_id ? &id : nullptr, message);
   };
 
   SweepSpec spec;

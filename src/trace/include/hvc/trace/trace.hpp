@@ -33,11 +33,21 @@ enum class Kind : std::uint8_t {
   kBranch,  ///< control-flow marker at the end of a block (no cache access)
 };
 
+/// Widest address a Record holds: 61 bits, so kind, taken and address
+/// pack into one 8-byte word (captures and replay blocks are arrays of
+/// these). Decoders reject wider addresses instead of truncating them.
+inline constexpr unsigned kRecordAddrBits = 61;
+
 struct Record {
-  Kind kind = Kind::kIfetch;
-  bool taken = false;  ///< for kBranch: backward/taken branch
-  std::uint64_t addr = 0;
+  constexpr Record() noexcept = default;
+  constexpr Record(Kind k, bool t, std::uint64_t a) noexcept
+      : kind(k), taken(t), addr(a) {}
+
+  Kind kind : 2 = Kind::kIfetch;
+  bool taken : 1 = false;  ///< for kBranch: backward/taken branch
+  std::uint64_t addr : kRecordAddrBits = 0;
 };
+static_assert(sizeof(Record) == 8, "Record must pack into one 8-byte word");
 
 /// Aggregate shape of a trace (used by tests and reports).
 struct TraceStats {
@@ -101,7 +111,8 @@ class TraceSource {
 //                 load/store records against the last *data* address;
 //                 both chains start at 0. Sequential fetch streams and
 //                 strided data streams therefore encode in 2-3 bytes
-//                 per record (vs 17 in-memory).
+//                 per record (vs 8 in-memory). A decoded address must
+//                 fit kRecordAddrBits (61) bits.
 //
 //   footer (72 bytes):
 //     bytes 0-3   magic "HVCF"
@@ -115,8 +126,9 @@ class TraceSource {
 //
 // Integrity: readers validate both magics, the version, zero flags/
 // reserved bits, that the payload decodes to exactly `record count`
-// records ending exactly at the footer boundary, and that the stats
-// kind-counts sum to the record count. Any mismatch throws ConfigError.
+// records ending exactly at the footer boundary, that every decoded
+// address fits kRecordAddrBits (61) bits, and that the stats kind-counts
+// sum to the record count. Any mismatch throws ConfigError.
 // ---------------------------------------------------------------------
 
 /// TraceSource over an in-memory record vector (or a Tracer's capture).

@@ -512,9 +512,10 @@ bool TraceFileSource::decode_one(Record& out) {
   const std::int64_t delta = zigzag_decode(take_varint());
   std::uint64_t* last = (kind == 1 || kind == 2) ? &last_data_ : &last_code_;
   *last += static_cast<std::uint64_t>(delta);
-  out.kind = static_cast<Kind>(kind);
-  out.taken = taken;
-  out.addr = *last;
+  if ((*last >> kRecordAddrBits) != 0) [[unlikely]] {
+    throw bad_trace(path_, "record address does not fit in 61 bits");
+  }
+  out = Record(static_cast<Kind>(kind), taken, *last);
   ++emitted_;
   return true;
 }
@@ -653,6 +654,10 @@ struct PayloadScan {
     const std::uint64_t addr =
         ((kind == 1 || kind == 2) ? last_data : last_code) +
         static_cast<std::uint64_t>(zigzag_decode(raw));
+    if ((addr >> kRecordAddrBits) != 0) {
+      stop("record address does not fit in 61 bits");
+      break;
+    }
     switch (kind) {
       case 0:
         ++scan.stats.instructions;

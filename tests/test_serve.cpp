@@ -1,17 +1,21 @@
 // In-process tests for the hvc_explore serve daemon: the line-delimited
 // JSON protocol, byte-identity of streamed rows against run_sweep,
 // concurrent clients sharing one executor and store, error events for
-// bad (including hostile, deeply nested) requests, and the clean-shutdown
+// bad (including hostile: deeply nested, or one line longer than the
+// read cap) requests, the line cap itself, and the clean-shutdown
 // contract (a stopped daemon's store passes fsck with exit-code-0 status,
 // and a resumed daemon answers the same bytes warm).
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/timerfd.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -67,6 +71,32 @@ class ServiceRunner {
   std::thread thread_;
 };
 
+/// A timer fd that becomes readable, and stays readable, `seconds` after
+/// construction. As read_line's wake fd it turns a daemon that never
+/// answers into a kInterrupted read (a test failure) rather than a hang.
+class Deadline {
+ public:
+  explicit Deadline(int seconds)
+      : fd_(::timerfd_create(CLOCK_MONOTONIC, TFD_CLOEXEC)) {
+    itimerspec when{};
+    when.it_value.tv_sec = seconds;
+    if (fd_ < 0 || ::timerfd_settime(fd_, 0, &when, nullptr) != 0) {
+      if (fd_ >= 0) {
+        ::close(fd_);
+      }
+      throw std::runtime_error("cannot arm the test deadline timer");
+    }
+  }
+  ~Deadline() { ::close(fd_); }
+  Deadline(const Deadline&) = delete;
+  Deadline& operator=(const Deadline&) = delete;
+
+  [[nodiscard]] int fd() const noexcept { return fd_; }
+
+ private:
+  int fd_;
+};
+
 /// One query, parsed client-side: the reconstructed CSV plus the end
 /// event's warm/cold tallies (or the error message).
 struct QueryResult {
@@ -79,7 +109,8 @@ struct QueryResult {
 
 [[nodiscard]] QueryResult query(const std::string& socket_path,
                                 const std::string& spec_text,
-                                const std::string& id = "") {
+                                const std::string& id = "",
+                                int wake_fd = -1) {
   UnixStream stream = UnixStream::connect(socket_path);
   Json request;
   request.set("spec", Json::parse(spec_text));
@@ -92,9 +123,10 @@ struct QueryResult {
   std::vector<std::string> lines;
   std::string line;
   for (;;) {
-    const UnixStream::ReadStatus status = stream.read_line(line);
+    const UnixStream::ReadStatus status = stream.read_line(line, wake_fd);
     if (status != UnixStream::ReadStatus::kLine) {
-      ADD_FAILURE() << "daemon hung up before the end event";
+      ADD_FAILURE() << "no end event: the daemon hung up or the deadline "
+                       "passed";
       return result;
     }
     const Json event = Json::parse(line);
@@ -192,6 +224,98 @@ TEST(ServeTest, DeeplyNestedRequestGetsAnErrorAndTheDaemonKeepsServing) {
   const QueryResult result = query(socket_path, kSpecText, "after-deep");
   EXPECT_TRUE(result.error.empty()) << result.error;
   EXPECT_EQ(result.csv, run_sweep(SweepSpec::parse(kSpecText), 1).to_csv());
+}
+
+TEST(ServeTest, OverlongRequestLineGetsAnErrorAndTheDaemonKeepsServing) {
+  const std::string socket_path = temp_name("flood.sock");
+  const std::string store_path = temp_name("flood.hvcs");
+  const std::string expected =
+      run_sweep(SweepSpec::parse(kSpecText), 1).to_csv();
+  {
+    ServiceRunner runner(
+        ServeOptions{socket_path, store_path, false, 2, false});
+
+    // A broken cap or discard path must fail here, not stall the suite:
+    // every read below gives up at the deadline, and a send the daemon
+    // stops draining throws after the same time. The limit is generous
+    // for sanitizer builds; a passing Release run takes well under 1 s.
+    constexpr int kLimitSeconds = 120;
+    const Deadline deadline(kLimitSeconds);
+
+    // 8 MB with no newline: the daemon reports the over-long line once
+    // it passes the cap, without waiting for (or buffering to) its end.
+    UnixStream stream = UnixStream::connect(socket_path);
+    const timeval send_limit{kLimitSeconds, 0};
+    ASSERT_EQ(::setsockopt(stream.fd(), SOL_SOCKET, SO_SNDTIMEO, &send_limit,
+                           sizeof send_limit),
+              0);
+    const std::string flood(8u << 20, 'x');
+    ASSERT_GT(flood.size(), UnixStream::kMaxLineBytes);
+    ASSERT_TRUE(stream.send_all(flood.data(), flood.size()));
+    std::string line;
+    ASSERT_EQ(stream.read_line(line, deadline.fd()),
+              UnixStream::ReadStatus::kLine);
+    const Json event = Json::parse(line);
+    EXPECT_EQ(event.at("event").as_string(), "error");
+    EXPECT_NE(event.at("error").as_string().find(
+                  std::to_string(UnixStream::kMaxLineBytes)),
+              std::string::npos)
+        << event.at("error").as_string();
+
+    // The newline ends the dropped line; the same connection then
+    // answers a real query with the batch engine's exact bytes.
+    Json request;
+    request.set("spec", Json::parse(kSpecText));
+    ASSERT_TRUE(stream.send_line("\n" + request.dump()));
+    std::string csv;
+    for (;;) {
+      ASSERT_EQ(stream.read_line(line, deadline.fd()),
+                UnixStream::ReadStatus::kLine);
+      const Json reply = Json::parse(line);
+      const std::string kind = reply.at("event").as_string();
+      ASSERT_NE(kind, "error") << line;
+      if (kind == "begin") {
+        csv += reply.at("csv_header").as_string() + "\n";
+      } else if (kind == "row") {
+        csv += reply.at("csv").as_string() + "\n";
+      } else if (kind == "end") {
+        break;
+      }
+    }
+    EXPECT_EQ(csv, expected);
+
+    // And so does a fresh connection to the same daemon.
+    const QueryResult again =
+        query(socket_path, kSpecText, "after-flood", deadline.fd());
+    EXPECT_TRUE(again.error.empty()) << again.error;
+    EXPECT_EQ(again.csv, expected);
+  }
+  const store::FsckReport report = store::ResultStore::fsck(store_path);
+  EXPECT_EQ(report.status, store::FsckStatus::kClean);
+  std::remove(store_path.c_str());
+}
+
+TEST(UnixStreamTest, LinesUpToTheCapPassAndLongerOnesAreDropped) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  UnixStream writer(fds[0]);
+  UnixStream reader(fds[1]);
+  const std::string at_cap(UnixStream::kMaxLineBytes, 'a');
+  const std::string over_cap(UnixStream::kMaxLineBytes + 1, 'b');
+  std::thread send([&] {
+    EXPECT_TRUE(writer.send_line(at_cap));
+    EXPECT_TRUE(writer.send_line(over_cap));  // newline after the cap
+    EXPECT_TRUE(writer.send_line("next"));
+    writer.close();
+  });
+  std::string line;
+  ASSERT_EQ(reader.read_line(line), UnixStream::ReadStatus::kLine);
+  EXPECT_EQ(line, at_cap);
+  ASSERT_EQ(reader.read_line(line), UnixStream::ReadStatus::kTooLong);
+  ASSERT_EQ(reader.read_line(line), UnixStream::ReadStatus::kLine);
+  EXPECT_EQ(line, "next");
+  EXPECT_EQ(reader.read_line(line), UnixStream::ReadStatus::kEof);
+  send.join();
 }
 
 TEST(ServeTest, ConcurrentClientsShareTheStoreAndStayByteIdentical) {

@@ -1,5 +1,6 @@
 // Streaming .hvct trace capture/replay: format round-trip, corruption
-// and truncation error paths, bounded-window reading, the differential
+// and truncation error paths (including addresses past the 61 bits a
+// Record holds), bounded-window reading, the differential
 // pin that replaying a recorded trace from disk is bit-identical to the
 // in-memory run on 1- and 2-core systems, and the profiled replay
 // (hvc_trace replay --profile) matching the plain one.
@@ -248,6 +249,59 @@ TEST_F(TraceFileErrors, InconsistentFooterCountsThrow) {
   patch_u64(bytes_, footer + 8, info.records + 7);  // stats no longer sum
   spit(path_, bytes_);
   EXPECT_THROW(TraceFileSource{path_}, ConfigError);
+}
+
+/// Appends the low `bytes` bytes of `value`, little-endian.
+void put_le(std::vector<char>& out, std::uint64_t value, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<char>(value >> (8 * i)));
+  }
+}
+
+/// A hand-built .hvct of ifetch records with the given code-address
+/// deltas (header, zigzag-varint payload, footer counting them all).
+[[nodiscard]] std::vector<char> ifetch_trace(
+    const std::vector<std::int64_t>& deltas) {
+  std::vector<char> out = {'H', 'V', 'C', 'T'};
+  put_le(out, 1, 2);  // version
+  put_le(out, 0, 2);  // flags
+  put_le(out, 0, 4);  // reserved
+  for (const std::int64_t delta : deltas) {
+    out.push_back(0);  // tag: ifetch
+    std::uint64_t zigzag = (static_cast<std::uint64_t>(delta) << 1) ^
+                           static_cast<std::uint64_t>(delta >> 63);
+    while (zigzag >= 0x80) {
+      out.push_back(static_cast<char>((zigzag & 0x7F) | 0x80));
+      zigzag >>= 7;
+    }
+    out.push_back(static_cast<char>(zigzag));
+  }
+  out.insert(out.end(), {'H', 'V', 'C', 'F'});
+  put_le(out, 0, 4);               // reserved
+  put_le(out, deltas.size(), 8);   // record count
+  put_le(out, deltas.size(), 8);   // instructions
+  for (int i = 0; i < 6; ++i) {    // loads .. code footprint
+    put_le(out, 0, 8);
+  }
+  return out;
+}
+
+TEST_F(TraceFileErrors, AddressPastSixtyOneBitsThrows) {
+  // The delta chain reaches 2^61 - 4 (the last word a Record holds),
+  // then steps to 2^61: decoding must reject it, not truncate it.
+  constexpr std::int64_t kTop = (std::int64_t{1} << kRecordAddrBits) - 4;
+  spit(path_, ifetch_trace({kTop, 4}));
+  TraceFileSource source(path_);
+  Record record;
+  ASSERT_EQ(source.next_batch(&record, 1), 1u);
+  EXPECT_EQ(record.kind, Kind::kIfetch);
+  EXPECT_EQ(record.addr, static_cast<std::uint64_t>(kTop));
+  EXPECT_THROW((void)source.next_batch(&record, 1), ConfigError);
+
+  // fsck agrees: only the first record is decodable.
+  const TraceFsckReport report = fsck_trace(path_);
+  EXPECT_EQ(report.status, TraceFsckStatus::kRecoverable);
+  EXPECT_EQ(report.records, 1u);
 }
 
 // ---------------------------------------------------------------------
