@@ -1,14 +1,9 @@
-// BATCH — per-op cost of the cache's two demand-access entry points on
-// identical op streams:
-//   * BM_CacheAccessBatch: Cache::access_batched, the inline fast path
-//     cpu::Core drives once per trace record — the resident uncoded-HP
-//     shape is the SIMD hit probe in replay steady state, the other
-//     shapes price the miss, codec and fault tails;
-//   * BM_CacheAccessScalar: the full Cache::access datapath the fast
-//     path re-enters for everything but plain hits.
-// Both retire bit-identical results (tests/test_batch.cpp); the delta is
-// what the hoisted context and the probe save per op. End-to-end replay
-// throughput lives in bench_trace_replay.
+// BATCH — per-op cost of Cache::access, the one demand path cpu::Core
+// drives once per trace record, on four op-stream shapes
+// (BM_CacheAccessBatch): the resident uncoded-HP shape is the inline
+// probe-key hit in replay steady state, the other shapes price the miss,
+// codec and fault tails. End-to-end replay throughput lives in
+// bench_trace_replay.
 #include "bench_common.hpp"
 
 #include <memory>
@@ -21,7 +16,7 @@ namespace {
 using namespace hvc;
 using namespace hvc::bench;
 
-/// Stream/cache shapes, the argument of both benches. The streaming
+/// Stream/cache shapes, the bench's argument. The streaming
 /// shape alone (a ~50% miss mix) would hide the hit probe, so the
 /// resident shape keeps every timed op a hit.
 enum Shape : std::int64_t {
@@ -29,7 +24,7 @@ enum Shape : std::int64_t {
   kStreaming = 1,  ///< uncoded HP, ~2x footprint: miss/evict mix
   kCoded = 2,      ///< SECDED on every way at HP: per-access codec tail
   kFaulty = 3,     ///< ULE with exaggerated Pf, working set = the ULE
-                   ///< way: fault-perturbed hits (scalar fallback)
+                   ///< way: fault-perturbed hits (decoding tag probe)
 };
 
 [[nodiscard]] const char* shape_name(std::int64_t shape) {
@@ -129,12 +124,9 @@ void BM_CacheAccessBatch(benchmark::State& state) {
   const auto ops = op_stream(4096, shape_footprint(shape));
   const auto cache = warm_cache(shape, terminal, rng, ops);
   std::size_t i = 0;
-  bool hit = false;
-  std::uint32_t latency = 0;
   for (auto _ : state) {
     const Op& op = ops[i];
-    cache->access_batched(op.addr, op.type, op.store_value, hit, latency);
-    benchmark::DoNotOptimize(latency);
+    benchmark::DoNotOptimize(cache->access(op.addr, op.type, op.store_value));
     i = (i + 1) % ops.size();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -148,35 +140,11 @@ BENCHMARK(BM_CacheAccessBatch)
     ->Arg(kFaulty)
     ->ArgName("shape");
 
-/// The same streams through the full scalar datapath.
-void BM_CacheAccessScalar(benchmark::State& state) {
-  const std::int64_t shape = state.range(0);
-  cache::MainMemory memory;
-  cache::MainMemoryLevel terminal(memory,
-                                  shape_config(shape).memory_latency_cycles);
-  Rng rng(7);
-  const auto ops = op_stream(4096, shape_footprint(shape));
-  const auto cache = warm_cache(shape, terminal, rng, ops);
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const Op& op = ops[i];
-    benchmark::DoNotOptimize(cache->access(op.addr, op.type, op.store_value));
-    i = (i + 1) % ops.size();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.SetLabel(shape_name(shape));
-  state.counters["hit_rate"] = cache->stats().hit_rate();
-}
-BENCHMARK(BM_CacheAccessScalar)
-    ->Arg(kResident)
-    ->Arg(kStreaming)
-    ->ArgName("shape");
-
 }  // namespace
 
 int main(int argc, char** argv) {
   hvc::bench::print_header(
-      "BATCH", "per-op access_batched fast path vs scalar access()");
+      "BATCH", "per-op cost of the demand path, Cache::access()");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

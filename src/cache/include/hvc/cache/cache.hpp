@@ -27,26 +27,7 @@
 #include "hvc/common/stats.hpp"
 #include "hvc/power/cache_power.hpp"
 
-// SIMD hit probe: the batch fast path compares all ways of a set against
-// the probed line address in one vector compare over the per-set probe-key
-// row (see Cache::probe_keys_). Uses the portable GCC/Clang vector
-// extensions; any other compiler — or -DHVC_NO_SIMD=ON — falls back to the
-// scalar row scan, which is bit-identical (the probe is side-effect-free
-// either way; only the compare count changes).
-#if !defined(HVC_NO_SIMD) && (defined(__GNUC__) || defined(__clang__))
-#define HVC_SIMD_PROBE 1
-#else
-#define HVC_SIMD_PROBE 0
-#endif
-
 namespace hvc::cache {
-
-#if HVC_SIMD_PROBE
-/// Four probe keys at a time; aligned(8) so rows only need natural
-/// std::uint64_t alignment (the compiler emits unaligned vector loads).
-typedef std::uint64_t ProbeVec
-    __attribute__((vector_size(32), aligned(8)));
-#endif
 
 // AccessType / AccessResult live in memory_level.hpp (the shared latency
 // contract of every hierarchy level).
@@ -104,43 +85,16 @@ class Cache : public MemoryLevel {
   /// miss latency is whatever the next level reports per request.
   Cache(CacheConfig config, MemoryLevel& next_level, Rng& rng);
 
-  /// Performs one access at the current mode. Functionally exact: loads
-  /// return the value the program would see. This is the full datapath
-  /// (tag decode, data decode, fill, write-back); access_batched() replays
-  /// its hits with pre-resolved constants and re-enters it for everything
-  /// else.
+  /// Performs one demand access at the current mode: the cache's one
+  /// demand path, which cpu::Core drives once per trace record.
+  /// Functionally exact: loads return the value the program would see
+  /// (tag decode, data decode, fill, write-back). Plain hits resolve
+  /// inline over a per-mode context; coded and write-through hits and
+  /// misses leave through out-of-line tails. tests/test_batch.cpp pins
+  /// every stat, energy add and per-op result against a simple reference
+  /// cache.
   AccessResult access(std::uint64_t addr, AccessType type,
                       std::uint32_t store_value = 0);
-
-  /// The demand-access path cpu::Core drives, one op per trace record:
-  /// identical side effects to access() — every stat, every energy
-  /// accumulation step, every latency, pinned by tests/test_batch.cpp —
-  /// but plain hits resolve inline over a hoisted per-mode context
-  /// (geometry, energy handles, codec/fault dispatch pre-resolved once per
-  /// mode instead of per record) and a SIMD probe. Misses, write-through
-  /// passthroughs and fault-perturbed sets re-enter access(), so
-  /// ordering-sensitive state transitions stay exact.
-  void access_batched(std::uint64_t addr, AccessType type,
-                      std::uint32_t store_value, bool& hit,
-                      std::uint32_t& latency_cycles);
-
- private:
-  /// Scalar re-entry for ops the fast path cannot replay (miss,
-  /// non-power-of-two geometry, fault-perturbed tag set).
-  void access_batched_fallback(std::uint64_t addr, AccessType type,
-                               std::uint32_t store_value, bool& hit,
-                               std::uint32_t& latency_cycles);
-  /// Out-of-line hit tails for ops that need the EDC codec or the
-  /// write-through passthrough (the inline fast path covers the plain
-  /// uncoded hit, which is the overwhelming majority at HP).
-  void batched_store_tail(std::uint64_t addr, std::uint32_t store_value,
-                          std::size_t hit_way, std::size_t set,
-                          std::size_t widx);
-  void batched_load_coded(std::uint64_t addr, std::size_t hit_way,
-                          std::size_t set, std::size_t word,
-                          std::size_t widx);
-
- public:
 
   /// Switches operating mode. HP->ULE writes back dirty HP-way lines and
   /// invalidates them (gated-Vdd loses content); ULE->HP keeps ULE ways.
@@ -262,14 +216,94 @@ class Cache : public MemoryLevel {
   [[nodiscard]] bool way_active(std::size_t w) const noexcept;
   [[nodiscard]] const edc::Codec* data_codec(std::size_t w) const noexcept;
   [[nodiscard]] const edc::Codec* tag_codec(std::size_t w) const noexcept;
-  [[nodiscard]] std::size_t set_of(std::uint64_t line_addr) const noexcept;
   [[nodiscard]] std::uint64_t tag_of(std::uint64_t line_addr) const noexcept;
 
-  /// Tag-probes every active way of `set` for `line_addr`; returns the
-  /// hit way, or config_.org.ways on a miss. EDC events encountered while
-  /// decoding tags are recorded in `result`.
-  [[nodiscard]] std::size_t find_way(std::uint64_t line_addr, std::size_t set,
-                                     AccessResult& result);
+  /// Where one address lands: its line address, set and word in the line.
+  struct Slot {
+    std::uint64_t line_addr = 0;
+    std::size_t set = 0;
+    std::size_t word = 0;
+  };
+
+  /// Per-mode constants the demand path reads instead of re-deriving them
+  /// per access: geometry (divisions pre-reduced to shifts/masks when the
+  /// organisation is power-of-two), energy handles, per-way codec and
+  /// fault dispatch, and the per-set "tag region fault-free" map that
+  /// licenses the probe-key shortcut. Rebuilt lazily after set_mode();
+  /// everything it caches is immutable between mode switches (fault maps
+  /// are sampled once per chip, codecs and energy models at init).
+  struct ModeCtx {
+    std::size_t ways = 0;
+    std::size_t sets = 0;
+    std::size_t wpl = 0;
+    std::uint64_t line_bytes = 0;
+    bool pow2 = false;        ///< line size and set count are powers of two
+    unsigned line_shift = 0;  ///< log2(line_bytes) when pow2
+    std::uint64_t set_mask = 0;
+    std::uint64_t word_mask = 0;  ///< low_mask(org.word_bits)
+    std::size_t hit_latency = 0;
+    bool write_through = false;
+    double lookup_dyn = 0.0;
+    /// Per-active-coded-way tag-decode charges, in way order: the FP
+    /// accumulation sequence of one lookup, replayed add by add.
+    std::vector<double> lookup_edc;
+    struct WayCtx {
+      /// Raw view into the owning Way's storage (stable: the vector is
+      /// sized once at construction and never reallocated).
+      std::uint64_t* data_words = nullptr;
+      const edc::Codec* data_codec = nullptr;
+      /// Loads read the stored word as is: no codec and no stuck data bit
+      /// in this mode.
+      bool raw_load = false;
+      double word_write = 0.0;
+      double edc_encode = 0.0;
+      double edc_decode = 0.0;
+    };
+    std::vector<WayCtx> way;
+    /// LRU stamp seam (nullptr stamps => virtual policy_->touch()).
+    ReplacementPolicy::TouchSeam lru;
+    /// Per-set most-recent-hit way, probed first. Purely a performance
+    /// hint: a stale entry just falls through to the full row scan.
+    std::vector<std::uint8_t> mru_way;
+    /// tag_clean[set] == 1 when no active way has a stuck bit in this
+    /// set's stored tag codeword: the probe-key compare is then exactly
+    /// find_way (tags are always stored as exact codewords — soft errors
+    /// only ever touch data words). Other sets take find_way.
+    std::vector<std::uint8_t> tag_clean;
+
+    /// The one address decode: shift/mask for power-of-two geometry,
+    /// divide otherwise.
+    [[nodiscard]] Slot decode(std::uint64_t addr) const noexcept {
+      if (pow2) {
+        const std::uint64_t line_addr = addr >> line_shift;
+        return {line_addr, static_cast<std::size_t>(line_addr & set_mask),
+                static_cast<std::size_t>((addr & (line_bytes - 1)) >> 2)};
+      }
+      const std::uint64_t line_addr = addr / line_bytes;
+      return {line_addr, static_cast<std::size_t>(line_addr % sets),
+              static_cast<std::size_t>(addr % line_bytes) / 4};
+    }
+  };
+
+  ModeCtx& mode_ctx() {
+    if (!mode_ctx_valid_) [[unlikely]] {
+      rebuild_mode_ctx();
+      mode_ctx_valid_ = true;
+    }
+    return mode_ctx_;
+  }
+  void rebuild_mode_ctx();
+
+  /// The one tag lookup of access(), fetch_block() and writeback_block():
+  /// charges the lookup energy and returns the lookup's outcome — hit and
+  /// way, the hit latency, and the EDC events met decoding tags.
+  AccessResult lookup(ModeCtx& ctx, const Slot& slot);
+
+  /// The decoding tag probe of every active way of `set`, for sets whose
+  /// stored tags may read back perturbed: sets `result.hit` and
+  /// `result.way` on a hit and records the EDC events met.
+  void find_way(std::uint64_t line_addr, std::size_t set,
+                AccessResult& result);
 
   /// Reads and decodes the tag of (way,set); nullopt when invalid or the
   /// tag is uncorrectable.
@@ -283,6 +317,20 @@ class Cache : public MemoryLevel {
   void write_data_word(std::size_t w, std::size_t set, std::size_t word,
                        std::uint32_t value);
   void write_tag(std::size_t w, std::size_t set, std::uint64_t tag);
+
+  /// Demand store of `value` into word `slot.word` of (w, slot.set): the
+  /// encode, its energy, then the write-through or the dirty bit.
+  void store_tail(std::size_t w, const Slot& slot, std::uint64_t addr,
+                  std::uint32_t value);
+  /// Demand load of word `slot.word` of (result.way, slot.set) through
+  /// the fault map and codec; an uncorrectable word falls back to the
+  /// next level.
+  void load_tail(const Slot& slot, std::uint64_t addr, AccessResult& result);
+  /// Everything after a missed lookup: the write-through passthrough, or
+  /// the fill and the access to the filled line.
+  void access_miss(std::uint64_t addr, AccessType type,
+                   std::uint32_t store_value, const Slot& slot,
+                   AccessResult& result);
 
   /// Index of (set, word) inside a way's packed data-word array.
   [[nodiscard]] std::size_t data_word_index(std::size_t set,
@@ -307,81 +355,22 @@ class Cache : public MemoryLevel {
   void writeback_line(std::size_t w, std::size_t set);
 
   void init();
-  void charge_lookup();
 
   void charge(EnergyCat category, double joules) noexcept {
     energy_j_[category] += joules;
   }
 
-  /// Per-mode constants access_batched() hoists out of the per-record loop:
-  /// geometry (divisions/modulos pre-reduced to shifts/masks when the
-  /// organisation is power-of-two), energy handles, per-way codec and
-  /// activity dispatch, and the per-set "tag region fault-free" map that
-  /// licenses the exact-probe shortcut. Rebuilt lazily after set_mode();
-  /// everything it caches is immutable between mode switches (fault maps
-  /// are sampled once per chip, codecs and energy models at init).
-  struct BatchCtx {
-    bool fast = false;  ///< geometry is power-of-two; fast path armed
-    power::Mode mode = power::Mode::kHp;
-    std::size_t ways = 0;
-    std::size_t sets = 0;
-    std::size_t wpl = 0;
-    std::uint64_t line_bytes = 0;
-    unsigned line_shift = 0;  ///< log2(line_bytes)
-    std::uint64_t set_mask = 0;
-    std::uint64_t word_mask = 0;  ///< low_mask(org.word_bits)
-    std::size_t hit_latency = 0;
-    bool write_through = false;
-    bool ule = false;
-    double lookup_dyn = 0.0;
-    /// Per-active-coded-way tag-decode charges, in way order (the FP
-    /// accumulation sequence of charge_lookup, replayed add by add).
-    std::vector<double> lookup_edc;
-    struct WayCtx {
-      bool active = false;
-      /// Raw views into the owning Way's storage (stable: the vectors
-      /// are sized once at construction and never reallocated).
-      const Line* lines = nullptr;
-      std::uint64_t* data_words = nullptr;
-      const edc::Codec* data_codec = nullptr;
-      std::size_t data_cw_bits = 0;
-      double word_write = 0.0;
-      double edc_encode = 0.0;
-      double edc_decode = 0.0;
-    };
-    std::vector<WayCtx> way;
-    /// LRU stamp seam (nullptr stamps => virtual policy_->touch()).
-    ReplacementPolicy::TouchSeam lru;
-    /// Raw view of the owning cache's probe-key rows (sets * probe_stride,
-    /// row-major, sentinel-padded — see probe_keys_ below): the hit probe
-    /// compares one row against the probed line address instead of
-    /// walking the per-way Line arrays.
-    const std::uint64_t* probe_keys = nullptr;
-    std::size_t probe_stride = 0;
-    /// Per-set most-recent-hit way, probed first. Purely a performance
-    /// hint: a stale entry just falls through to the full way probe.
-    std::vector<std::uint8_t> mru_way;
-    /// tag_clean[set] == 1 when no active way has a stuck bit in this
-    /// set's stored tag codeword: the probe `valid && line_addr ==` is
-    /// then exactly find_way (tags are always stored as exact codewords —
-    /// soft errors only ever touch data words). Sets that fail this take
-    /// the scalar path.
-    std::vector<std::uint8_t> tag_clean;
-  };
-
-  void rebuild_batch_ctx();
-
   /// Probe-key sentinel: never equal to a real line address (addresses
-  /// are at least word-aligned, so line_addr = addr >> line_shift has its
-  /// top bits clear). Inactive ways, invalid lines and the row's padding
-  /// lanes all hold it, so one equality compare per lane answers
-  /// "active && valid && line_addr matches" exactly.
+  /// are at least word-aligned, so line_addr = addr / line_bytes has its
+  /// top bits clear). Inactive ways and invalid lines hold it, so one
+  /// equality compare per way answers "active && valid && line_addr
+  /// matches" exactly.
   static constexpr std::uint64_t kProbeInvalid = ~std::uint64_t{0};
   /// Keeps probe_keys_ mirroring (way, set)'s line state; called at every
   /// site that changes a line's valid bit or address.
   void set_probe_key(std::size_t way, std::size_t set,
                      std::uint64_t key) noexcept {
-    probe_keys_[set * probe_stride_ + way] = key;
+    probe_keys_[set * config_.org.ways + way] = key;
   }
 
   CacheConfig config_;
@@ -403,131 +392,113 @@ class Cache : public MemoryLevel {
   /// Per-word decodability flags of the line in line_buf_ (write-backs
   /// skip unrecoverable words so the next level keeps its stale copy).
   std::vector<std::uint8_t> line_word_ok_;
-  /// Hit-probe keys, one padded row per set (row-major, probe_stride_
-  /// entries): probe_keys_[set * stride + way] is the line address stored
-  /// in (way, set) when that line is valid, else kProbeInvalid. The rows
-  /// are what the batch path's SIMD probe compares — a structure-of-arrays
-  /// twin of the scattered per-way Line arrays that puts a whole set's
-  /// tags in one cache line (stride is padded to the vector width so the
-  /// last lanes of a row are sentinel, never out-of-bounds).
+  /// Reusable victim-candidate buffer of fill_line, one slot per way.
+  std::vector<std::size_t> victim_candidates_;
+  /// Hit-probe keys, one row per set (row-major, one entry per way):
+  /// probe_keys_[set * ways + way] is the line address stored in
+  /// (way, set) when that line is valid, else kProbeInvalid. A
+  /// structure-of-arrays twin of the per-way Line arrays that puts a
+  /// whole set's tags in one cache line.
   std::vector<std::uint64_t> probe_keys_;
-  std::size_t probe_stride_ = 0;
-  /// Hoisted batch-path context; valid_ goes false on mode switches.
-  BatchCtx batch_ctx_;
-  bool batch_ctx_valid_ = false;
+  ModeCtx mode_ctx_;
+  bool mode_ctx_valid_ = false;
 };
 
-// Defined here (not in cache.cpp) so the per-record replay loops in
-// cpu::Core inline the probe and the plain-hit replay; only misses and
-// codec/write-through tails leave the caller's frame. The sequence of
-// stat increments and FP energy adds below is EXACTLY the scalar
-// access() hit sequence with its constants pre-resolved — reordering or
-// merging any of the adds breaks the bit-identity pin (test_batch).
-inline void Cache::access_batched(std::uint64_t addr, AccessType type,
-                                  std::uint32_t store_value, bool& hit,
-                                  std::uint32_t& latency_cycles) {
-  if (!batch_ctx_valid_) {
-    rebuild_batch_ctx();
-    batch_ctx_valid_ = true;
+// Defined here (not in cache.cpp) so the per-record replay loop in
+// cpu::Core inlines the lookup and the plain hit; only misses and
+// codec/write-through tails leave the caller's frame. The order of the
+// FP energy adds is part of the results: reordering or merging any of
+// them changes the output bytes (pinned by tests/test_batch.cpp).
+//
+// The out-of-line calls fill a copy of the result through a reference,
+// never the returned local itself: a local whose address is never taken
+// stays in registers, so the core's replay, which reads only hit and
+// latency, does not pay for the fields it drops (the loaded word, most
+// of all). Handing them the local itself made BM_MulticoreStep ~1.7x
+// slower per record (g++ 12, -O3).
+inline AccessResult Cache::lookup(ModeCtx& ctx, const Slot& slot) {
+  energy_j_[kEnergyDynamic] += ctx.lookup_dyn;
+  for (const double joules : ctx.lookup_edc) {
+    energy_j_[kEnergyEdc] += joules;
   }
-  BatchCtx& ctx = batch_ctx_;
-  if (!ctx.fast) {
-    access_batched_fallback(addr, type, store_value, hit, latency_cycles);
-    return;
+  AccessResult result;
+  result.latency_cycles = ctx.hit_latency;
+  if (ctx.tag_clean[slot.set] == 0) {
+    AccessResult decoded = result;
+    find_way(slot.line_addr, slot.set, decoded);
+    return decoded;
   }
-
-  const std::uint64_t line_addr = addr >> ctx.line_shift;
-  const std::size_t set = static_cast<std::size_t>(line_addr & ctx.set_mask);
-
-  // Exact-probe shortcut: side-effect-free, so a miss (or a set the
-  // shortcut can't prove clean) re-enters through the scalar path with
-  // nothing to unwind. The per-set MRU hint is checked first — runs of
-  // accesses to the same line resolve in one compare; on a hint mismatch
-  // the whole probe row (active+valid+address folded into one key per
-  // way) is compared at once. A matching lane is unique: a set never
-  // holds the same line in two ways (fills happen on misses only).
-  std::size_t hit_way = ctx.ways;
-  if (ctx.tag_clean[set] != 0) {
-    const std::uint64_t* row = ctx.probe_keys + set * ctx.probe_stride;
-    const std::size_t hint = ctx.mru_way[set];
-    if (row[hint] == line_addr) {
-      hit_way = hint;
-    } else {
-#if HVC_SIMD_PROBE
-      const ProbeVec needle = {line_addr, line_addr, line_addr, line_addr};
-      for (std::size_t base = 0; base < ctx.probe_stride; base += 4) {
-        const ProbeVec eq =
-            *reinterpret_cast<const ProbeVec*>(row + base) == needle;
-        if ((eq[0] | eq[1] | eq[2] | eq[3]) != 0) {
-          hit_way = base + (eq[0] != 0   ? 0u
-                            : eq[1] != 0 ? 1u
-                            : eq[2] != 0 ? 2u
-                                         : 3u);
-          ctx.mru_way[set] = static_cast<std::uint8_t>(hit_way);
-          break;
-        }
-      }
-#else
-      for (std::size_t w = 0; w < ctx.ways; ++w) {
-        if (row[w] == line_addr) {
-          hit_way = w;
-          ctx.mru_way[set] = static_cast<std::uint8_t>(w);
-          break;
-        }
-      }
-#endif
+  // The MRU hint resolves runs of accesses to one line in one compare;
+  // otherwise the set's probe-key row is scanned. A matching key is
+  // unique: a set never holds the same line in two ways.
+  const std::uint64_t* row = probe_keys_.data() + slot.set * ctx.ways;
+  const std::size_t hint = ctx.mru_way[slot.set];
+  if (row[hint] == slot.line_addr) {
+    result.hit = true;
+    result.way = hint;
+    return result;
+  }
+  for (std::size_t w = 0; w < ctx.ways; ++w) {
+    if (row[w] == slot.line_addr) {
+      ctx.mru_way[slot.set] = static_cast<std::uint8_t>(w);
+      result.hit = true;
+      result.way = w;
+      return result;
     }
   }
-  if (hit_way == ctx.ways) {
-    access_batched_fallback(addr, type, store_value, hit, latency_cycles);
-    return;
-  }
+  return result;
+}
 
-  // --- hit: the scalar sequence with the constants pre-resolved ---
+inline AccessResult Cache::access(std::uint64_t addr, AccessType type,
+                                  std::uint32_t store_value) {
+  ModeCtx& ctx = mode_ctx();
   ++stats_.accesses;
   switch (type) {
     case AccessType::kLoad: ++stats_.loads; break;
     case AccessType::kStore: ++stats_.stores; break;
     case AccessType::kIfetch: ++stats_.ifetches; break;
   }
-  energy_j_[kEnergyDynamic] += ctx.lookup_dyn;
-  for (const double joules : ctx.lookup_edc) {
-    energy_j_[kEnergyEdc] += joules;
-  }
-  hit = true;
-  latency_cycles = static_cast<std::uint32_t>(ctx.hit_latency);
-  ++stats_.hits;
-  if (ctx.lru.stamps != nullptr) {
-    // The seam store is exactly LruPolicy::touch with the range checks
-    // proven by construction (set/way come from the probe).
-    ctx.lru.stamps[set * ctx.ways + hit_way] = ++*ctx.lru.clock;
-  } else if (!ctx.lru.noop) {
-    policy_->touch(set, hit_way);
+  const Slot slot = ctx.decode(addr);
+  AccessResult result = lookup(ctx, slot);
+  if (!result.hit) {
+    AccessResult miss = result;
+    access_miss(addr, type, store_value, slot, miss);
+    return miss;
   }
 
-  const BatchCtx::WayCtx& wc = ctx.way[hit_way];
-  const std::size_t word = static_cast<std::size_t>(
-      (addr & (ctx.line_bytes - 1)) >> 2);
-  const std::size_t widx = set * ctx.wpl + word;
+  const std::size_t way = result.way;
+  ++stats_.hits;
+  if (ctx.lru.stamps != nullptr) {
+    // Exactly LruPolicy::touch, with the range checks proven by
+    // construction (set and way come from the lookup).
+    ctx.lru.stamps[slot.set * ctx.ways + way] = ++*ctx.lru.clock;
+  } else if (!ctx.lru.noop) {
+    policy_->touch(slot.set, way);
+  }
+
+  const ModeCtx::WayCtx& wc = ctx.way[way];
+  const std::size_t widx = slot.set * ctx.wpl + slot.word;
   if (type == AccessType::kStore) {
     if (wc.data_codec != nullptr || ctx.write_through) {
-      batched_store_tail(addr, store_value, hit_way, set, widx);
-      return;
+      store_tail(way, slot, addr, store_value);
+      return result;
     }
     wc.data_words[widx] = store_value & ctx.word_mask;
     energy_j_[kEnergyDynamic] += wc.word_write;
     energy_j_[kEnergyEdc] += wc.edc_encode;
-    ways_[hit_way].lines[set].dirty = true;
-    return;
+    ways_[way].lines[slot.set].dirty = true;
+    return result;
   }
 
   energy_j_[kEnergyEdc] += wc.edc_decode;
-  if (wc.data_codec == nullptr) {
-    // Uncoded read: the scalar path masks and returns the raw word with
-    // no stats/energy traffic — nothing further to replay.
-    return;
+  if (!wc.raw_load) {
+    AccessResult coded = result;
+    load_tail(slot, addr, coded);
+    return coded;
   }
-  batched_load_coded(addr, hit_way, set, word, widx);
+  result.data =
+      static_cast<std::uint32_t>(wc.data_words[widx] & ctx.word_mask);
+  return result;
 }
 
 }  // namespace hvc::cache

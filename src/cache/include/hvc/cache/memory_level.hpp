@@ -39,7 +39,7 @@ enum class AccessType { kLoad, kStore, kIfetch };
 [[nodiscard]] std::string to_string(AccessType type);
 
 /// Outcome of one demand access through Cache::access. The core's replay
-/// path (Cache::access_batched) reports only the hit flag and latency.
+/// path (cpu::Core::step) reads only the hit flag and latency.
 struct AccessResult {
   bool hit = false;
   std::size_t way = 0;

@@ -4,8 +4,8 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "hvc/common/rng.hpp"
 
@@ -24,14 +24,14 @@ class ReplacementPolicy {
   /// Called on every hit/fill so the policy can update recency state.
   virtual void touch(std::size_t set, std::size_t way) = 0;
 
-  /// Fast-path seam for batch replay: a policy whose touch() reduces to
+  /// Hit-path seam for Cache::access: a policy whose touch() reduces to
   /// one timestamp store (LRU) exposes its stamp array (sets * ways,
-  /// row-major) and clock so the cache's hit loop can update recency
-  /// without a virtual call. The store performed through the seam must
-  /// be exactly `stamps[set * ways + way] = ++*clock` — the same state
-  /// transition touch() makes. A policy whose touch() is provably a
+  /// row-major) and clock so the cache's inline hit path can update
+  /// recency without a virtual call. The store performed through the seam
+  /// must be exactly `stamps[set * ways + way] = ++*clock` — the same
+  /// state transition touch() makes. A policy whose touch() is provably a
   /// no-op *on hits* (FIFO: every valid line is already filled; random:
-  /// touch is empty) sets `noop` instead, and the hit loop skips the
+  /// touch is empty) sets `noop` instead, and the hit path skips the
   /// call entirely. Policies with any other touch() behaviour return
   /// the default seam and keep taking the virtual call.
   struct TouchSeam {
@@ -43,7 +43,7 @@ class ReplacementPolicy {
   /// Picks a victim among `candidates` (indices of active, valid ways are
   /// passed by the cache; invalid ways are chosen by the cache first).
   [[nodiscard]] virtual std::size_t victim(
-      std::size_t set, const std::vector<std::size_t>& candidates) = 0;
+      std::size_t set, std::span<const std::size_t> candidates) = 0;
 
   [[nodiscard]] std::size_t sets() const noexcept { return sets_; }
   [[nodiscard]] std::size_t ways() const noexcept { return ways_; }

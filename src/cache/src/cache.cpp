@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 
 #include "hvc/common/error.hpp"
 
@@ -75,11 +76,8 @@ void Cache::init() {
   }
   line_buf_.assign(wpl, 0);
   line_word_ok_.assign(wpl, 1);
-  // Probe rows padded to the 4-lane vector width: the padding lanes stay
-  // kProbeInvalid forever, so the SIMD probe never reads past a row and
-  // never matches a phantom way.
-  probe_stride_ = (config_.org.ways + 3) / 4 * 4;
-  probe_keys_.assign(sets * probe_stride_, kProbeInvalid);
+  victim_candidates_.assign(config_.org.ways, 0);
+  probe_keys_.assign(sets * config_.org.ways, kProbeInvalid);
 }
 
 bool Cache::way_active(std::size_t w) const noexcept {
@@ -94,10 +92,6 @@ const edc::Codec* Cache::data_codec(std::size_t w) const noexcept {
 const edc::Codec* Cache::tag_codec(std::size_t w) const noexcept {
   return mode_ == power::Mode::kHp ? ways_[w].tag_codec_hp.get()
                                    : ways_[w].tag_codec_ule.get();
-}
-
-std::size_t Cache::set_of(std::uint64_t line_addr) const noexcept {
-  return static_cast<std::size_t>(line_addr % config_.org.sets());
 }
 
 std::uint64_t Cache::tag_of(std::uint64_t line_addr) const noexcept {
@@ -149,8 +143,8 @@ Breakdown Cache::energy() const {
   return out;
 }
 
-std::size_t Cache::find_way(std::uint64_t line_addr, std::size_t set,
-                            AccessResult& result) {
+void Cache::find_way(std::uint64_t line_addr, std::size_t set,
+                     AccessResult& result) {
   const std::uint64_t tag = tag_of(line_addr);
   for (std::size_t w = 0; w < config_.org.ways; ++w) {
     if (!way_active(w)) {
@@ -159,10 +153,11 @@ std::size_t Cache::find_way(std::uint64_t line_addr, std::size_t set,
     const auto stored_tag = read_tag(w, set, result);
     if (stored_tag && *stored_tag == tag &&
         ways_[w].lines[set].line_addr == line_addr) {
-      return w;
+      result.hit = true;
+      result.way = w;
+      return;
     }
   }
-  return config_.org.ways;
 }
 
 std::optional<std::uint64_t> Cache::read_tag(std::size_t w, std::size_t set,
@@ -277,7 +272,7 @@ std::size_t Cache::fill_line(std::uint64_t line_addr, std::size_t set,
                              const std::uint32_t* incoming) {
   // Victim selection among active ways: invalid first, then policy.
   std::size_t victim = config_.org.ways;
-  std::vector<std::size_t> candidates;
+  std::size_t candidates = 0;
   for (std::size_t w = 0; w < config_.org.ways; ++w) {
     if (!way_active(w)) {
       continue;
@@ -286,11 +281,13 @@ std::size_t Cache::fill_line(std::uint64_t line_addr, std::size_t set,
       victim = w;
       break;
     }
-    candidates.push_back(w);
+    victim_candidates_[candidates++] = w;
   }
   if (victim == config_.org.ways) {
-    ensure(!candidates.empty(), "no active way available for fill");
-    victim = policy_->victim(set, candidates);
+    ensure(candidates != 0, "no active way available for fill");
+    victim = policy_->victim(
+        set, std::span<const std::size_t>(victim_candidates_.data(),
+                                          candidates));
   }
 
   Line& line = ways_[victim].lines[set];
@@ -329,102 +326,58 @@ std::size_t Cache::fill_line(std::uint64_t line_addr, std::size_t set,
   return victim;
 }
 
-AccessResult Cache::access(std::uint64_t addr, AccessType type,
-                           std::uint32_t store_value) {
-  AccessResult result;
-  ++stats_.accesses;
-  switch (type) {
-    case AccessType::kLoad: ++stats_.loads; break;
-    case AccessType::kStore: ++stats_.stores; break;
-    case AccessType::kIfetch: ++stats_.ifetches; break;
-  }
-
-  const std::uint64_t line_addr = addr / config_.org.line_bytes;
-  const std::size_t set = set_of(line_addr);
-  const std::size_t word =
-      static_cast<std::size_t>(addr % config_.org.line_bytes) / 4;
-
+void Cache::store_tail(std::size_t w, const Slot& slot, std::uint64_t addr,
+                       std::uint32_t value) {
+  write_data_word(w, slot.set, slot.word, value);
   const auto& model = energy_model();
-  charge_lookup();
-  result.latency_cycles = hit_latency();
-
-  const std::size_t hit_way = find_way(line_addr, set, result);
-  if (hit_way != config_.org.ways) {
-    // --- hit ---
-    result.hit = true;
-    result.way = hit_way;
-    ++stats_.hits;
-    policy_->touch(set, hit_way);
-    if (type == AccessType::kStore) {
-      write_data_word(hit_way, set, word, store_value);
-      charge(kEnergyDynamic, model.word_write_energy(hit_way));
-      charge(kEnergyEdc, model.edc_encode_energy(hit_way));
-      if (config_.write_policy == WritePolicy::kWriteThroughNoAllocate) {
-        (void)next_level_->store_word(addr, store_value);
-      } else {
-        ways_[hit_way].lines[set].dirty = true;
-      }
-    } else {
-      charge(kEnergyEdc, model.edc_decode_energy(hit_way));
-      const auto value = read_data_word(hit_way, set, word, result);
-      // Uncorrectable data: fall back to the next level (predictability
-      // safety net; never taken with properly sized cells).
-      result.data = value ? *value : next_level_->load_word(addr);
-    }
-    return result;
+  charge(kEnergyDynamic, model.word_write_energy(w));
+  charge(kEnergyEdc, model.edc_encode_energy(w));
+  if (config_.write_policy == WritePolicy::kWriteThroughNoAllocate) {
+    (void)next_level_->store_word(addr, value);
+  } else {
+    ways_[w].lines[slot.set].dirty = true;
   }
+}
 
-  // --- miss ---
+void Cache::load_tail(const Slot& slot, std::uint64_t addr,
+                      AccessResult& result) {
+  const auto value = read_data_word(result.way, slot.set, slot.word, result);
+  // Uncorrectable data: fall back to the next level (predictability
+  // safety net; never taken with properly sized cells).
+  result.data = value ? *value : next_level_->load_word(addr);
+}
+
+void Cache::access_miss(std::uint64_t addr, AccessType type,
+                        std::uint32_t store_value, const Slot& slot,
+                        AccessResult& result) {
   ++stats_.misses;
-
   if (type == AccessType::kStore &&
       config_.write_policy == WritePolicy::kWriteThroughNoAllocate) {
     result.latency_cycles += next_level_->store_word(addr, store_value);
-    return result;
+    return;
   }
 
-  const std::size_t filled = fill_line(line_addr, set, result);
-  result.way = filled;
+  result.way = fill_line(slot.line_addr, slot.set, result);
   if (type == AccessType::kStore) {
-    write_data_word(filled, set, word, store_value);
-    charge(kEnergyDynamic, model.word_write_energy(filled));
-    charge(kEnergyEdc, model.edc_encode_energy(filled));
-    ways_[filled].lines[set].dirty = true;
-  } else {
-    charge(kEnergyEdc, model.edc_decode_energy(filled));
-    const auto value = read_data_word(filled, set, word, result);
-    result.data = value ? *value : next_level_->load_word(addr);
+    store_tail(result.way, slot, addr, store_value);
+    return;
   }
-  return result;
+  charge(kEnergyEdc, energy_model().edc_decode_energy(result.way));
+  load_tail(slot, addr, result);
 }
 
-// --- access_batched fast path -------------------------------------
-//
-// The fast path may hoist loop-invariant work (geometry divisions,
-// energy-model getters, codec/fault dispatch) but may NOT reorder or
-// merge per-record side effects: energy accumulates in non-associative
-// double adds, fault maps are stuck-at (value-dependent), and the next
-// level is stateful — so the fast loop replays the scalar path's side
-// effects op by op, in op order, and drops to the scalar access() for
-// everything ordering-sensitive (misses, write-through passthroughs,
-// sets whose stored tags touch stuck bits).
-
-void Cache::rebuild_batch_ctx() {
-  BatchCtx& ctx = batch_ctx_;
+void Cache::rebuild_mode_ctx() {
+  ModeCtx& ctx = mode_ctx_;
   const std::size_t sets = config_.org.sets();
-  const std::size_t wpl = config_.org.words_per_line();
   const auto& model = energy_model();
 
-  ctx.mode = mode_;
   ctx.ways = config_.org.ways;
   ctx.sets = sets;
-  ctx.wpl = wpl;
+  ctx.wpl = config_.org.words_per_line();
   ctx.line_bytes = config_.org.line_bytes;
-  // The shortcut probe needs power-of-two geometry for shift/mask address
-  // decode; anything else (never built by the sweeps) runs scalar.
-  ctx.fast = std::has_single_bit(ctx.line_bytes) &&
+  ctx.pow2 = std::has_single_bit(ctx.line_bytes) &&
              std::has_single_bit(static_cast<std::uint64_t>(sets));
-  if (ctx.fast) {
+  if (ctx.pow2) {
     ctx.line_shift =
         static_cast<unsigned>(std::countr_zero(ctx.line_bytes));
     ctx.set_mask = static_cast<std::uint64_t>(sets) - 1;
@@ -433,106 +386,47 @@ void Cache::rebuild_batch_ctx() {
   ctx.hit_latency = hit_latency();
   ctx.write_through =
       config_.write_policy == WritePolicy::kWriteThroughNoAllocate;
-  ctx.ule = mode_ == power::Mode::kUle;
   ctx.lookup_dyn = model.lookup_energy();
 
+  const bool ule = mode_ == power::Mode::kUle;
   ctx.lookup_edc.clear();
   ctx.way.assign(ctx.ways, {});
   for (std::size_t w = 0; w < ctx.ways; ++w) {
-    BatchCtx::WayCtx& wc = ctx.way[w];
-    wc.active = way_active(w);
-    if (wc.active && tag_codec(w) != nullptr) {
+    ModeCtx::WayCtx& wc = ctx.way[w];
+    // Tag decode on every lookup of every active coded way.
+    if (way_active(w) && tag_codec(w) != nullptr) {
       ctx.lookup_edc.push_back(model.edc_decode_energy(w));
     }
-    wc.lines = ways_[w].lines.data();
     wc.data_words = ways_[w].data_words.data();
     wc.data_codec = data_codec(w);
-    wc.data_cw_bits = stored_data_cw_bits_[w];
+    // Stuck bits show at ULE only (HP-way cells are sized for negligible
+    // Pf at high Vcc).
+    wc.raw_load = wc.data_codec == nullptr &&
+                  (!ule || ways_[w].data_faults->fault_count() == 0);
     wc.word_write = model.word_write_energy(w);
     wc.edc_encode = model.edc_encode_energy(w);
     wc.edc_decode = model.edc_decode_energy(w);
   }
   ctx.lru = policy_->touch_seam();
-  ctx.probe_keys = probe_keys_.data();
-  ctx.probe_stride = probe_stride_;
   ctx.mru_way.assign(sets, 0);
 
   // Tags are stored as exact valid codewords (writes re-encode; soft
   // errors only ever hit data words), so the only thing that can perturb
   // a tag read is the ULE-mode stuck-at map. A set whose stored tag
   // region is fault-free across every active way therefore probes to
-  // exactly the scalar find_way outcome with zero codec calls and zero
-  // stats traffic; the rest take the scalar path.
+  // exactly the find_way outcome with zero codec calls and zero stats
+  // traffic.
   ctx.tag_clean.assign(sets, 1);
-  if (ctx.ule) {
+  if (ule) {
     for (std::size_t set = 0; set < sets; ++set) {
       for (std::size_t w = 0; w < ctx.ways; ++w) {
-        if (!ctx.way[w].active) {
-          continue;
-        }
-        if (ways_[w].tag_faults->any_stuck(tag_bit_base(w, set),
+        if (way_active(w) &&
+            ways_[w].tag_faults->any_stuck(tag_bit_base(w, set),
                                            stored_tag_cw_bits_[w])) {
           ctx.tag_clean[set] = 0;
           break;
         }
       }
-    }
-  }
-}
-
-void Cache::access_batched_fallback(std::uint64_t addr, AccessType type,
-                                    std::uint32_t store_value, bool& hit,
-                                    std::uint32_t& latency_cycles) {
-  const AccessResult result = access(addr, type, store_value);
-  hit = result.hit;
-  latency_cycles = static_cast<std::uint32_t>(result.latency_cycles);
-}
-
-void Cache::batched_store_tail(std::uint64_t addr, std::uint32_t store_value,
-                               std::size_t hit_way, std::size_t set,
-                               std::size_t widx) {
-  const BatchCtx& ctx = batch_ctx_;
-  const BatchCtx::WayCtx& wc = ctx.way[hit_way];
-  const std::uint64_t data = store_value & ctx.word_mask;
-  wc.data_words[widx] =
-      wc.data_codec ? wc.data_codec->encode_word(data) : data;
-  energy_j_[kEnergyDynamic] += wc.word_write;
-  energy_j_[kEnergyEdc] += wc.edc_encode;
-  if (ctx.write_through) {
-    (void)next_level_->store_word(addr, store_value);
-  } else {
-    ways_[hit_way].lines[set].dirty = true;
-  }
-}
-
-void Cache::batched_load_coded(std::uint64_t addr, std::size_t hit_way,
-                               std::size_t set, std::size_t word,
-                               std::size_t widx) {
-  const BatchCtx& ctx = batch_ctx_;
-  const BatchCtx::WayCtx& wc = ctx.way[hit_way];
-  std::uint64_t raw = wc.data_words[widx];
-  if (ctx.ule) {
-    raw = ways_[hit_way].data_faults->apply_word(
-        raw, data_bit_base(hit_way, set, word), wc.data_cw_bits);
-  }
-  raw &= low_mask(wc.data_codec->codeword_bits());
-  const edc::WordDecodeResult decoded = wc.data_codec->decode_word(raw);
-  if (decoded.status == edc::DecodeStatus::kDetected) {
-    ++stats_.edc_detected;
-    // Uncorrectable data: the scalar path falls back to the next level.
-    (void)next_level_->load_word(addr);
-  } else if (decoded.status == edc::DecodeStatus::kCorrected) {
-    stats_.edc_corrections += decoded.corrected_bits;
-  }
-}
-
-void Cache::charge_lookup() {
-  const auto& model = energy_model();
-  charge(kEnergyDynamic, model.lookup_energy());
-  // Tag decode on every lookup of every active coded way.
-  for (std::size_t w = 0; w < config_.org.ways; ++w) {
-    if (way_active(w) && tag_codec(w) != nullptr) {
-      charge(kEnergyEdc, model.edc_decode_energy(w));
     }
   }
 }
@@ -610,9 +504,9 @@ void Cache::set_mode(power::Mode mode) {
   }
 
   mode_ = mode;
-  // The hoisted batch context caches mode-dependent energy handles, way
-  // activity and the tag-clean map; rebuild it lazily on next use.
-  batch_ctx_valid_ = false;
+  // The mode context caches mode-dependent energy handles, codecs and the
+  // tag-clean map; rebuild it lazily on next use.
+  mode_ctx_valid_ = false;
 }
 
 void Cache::enable_soft_errors(std::size_t way, double rate_per_bit) {
@@ -731,31 +625,28 @@ void Cache::reset() {
 std::size_t Cache::fetch_block(std::uint64_t addr, std::uint32_t* out,
                                std::size_t count) {
   expects(count > 0 && addr % 4 == 0, "fetch_block: aligned non-empty range");
-  const std::uint64_t line_addr = addr / config_.org.line_bytes;
-  expects((addr + 4 * count - 1) / config_.org.line_bytes == line_addr,
+  ModeCtx& ctx = mode_ctx();
+  const Slot slot = ctx.decode(addr);
+  expects(ctx.decode(addr + 4 * count - 1).line_addr == slot.line_addr,
           "fetch_block range must lie within one line of this level");
+  const std::size_t set = slot.set;
   ++stats_.accesses;
   ++stats_.loads;
-  charge_lookup();
-  std::size_t latency = hit_latency();
-
-  const std::size_t set = set_of(line_addr);
-  AccessResult scratch;
-  std::size_t w = find_way(line_addr, set, scratch);
-  if (w != config_.org.ways) {
+  AccessResult scratch = lookup(ctx, slot);
+  std::size_t latency = scratch.latency_cycles;
+  std::size_t w = scratch.way;
+  if (scratch.hit) {
     ++stats_.hits;
     policy_->touch(set, w);
   } else {
     ++stats_.misses;
     scratch.latency_cycles = 0;
-    w = fill_line(line_addr, set, scratch);
+    w = fill_line(slot.line_addr, set, scratch);
     latency += scratch.latency_cycles;
   }
 
   const auto& model = energy_model();
-  const std::size_t wpl = config_.org.words_per_line();
-  const std::size_t first_word =
-      static_cast<std::size_t>(addr % config_.org.line_bytes) / 4;
+  const std::size_t wpl = ctx.wpl;
   // Reads `count` of the line's `wpl` words: charge the proportional share
   // of a whole-line read (identical to writeback_line when count == wpl).
   charge(kEnergyDynamic,
@@ -763,7 +654,7 @@ std::size_t Cache::fetch_block(std::uint64_t addr, std::uint32_t* out,
              (static_cast<double>(count) / static_cast<double>(wpl)));
   charge(kEnergyEdc, static_cast<double>(count) * model.edc_decode_energy(w));
   for (std::size_t i = 0; i < count; ++i) {
-    const auto value = read_data_word(w, set, first_word + i, scratch);
+    const auto value = read_data_word(w, set, slot.word + i, scratch);
     out[i] = value ? *value : next_level_->load_word(addr + 4 * i);
   }
   return latency;
@@ -774,24 +665,19 @@ std::size_t Cache::writeback_block(std::uint64_t addr,
                                    std::size_t count) {
   expects(count > 0 && addr % 4 == 0,
           "writeback_block: aligned non-empty range");
-  const std::uint64_t line_addr = addr / config_.org.line_bytes;
-  expects((addr + 4 * count - 1) / config_.org.line_bytes == line_addr,
+  ModeCtx& ctx = mode_ctx();
+  const Slot slot = ctx.decode(addr);
+  expects(ctx.decode(addr + 4 * count - 1).line_addr == slot.line_addr,
           "writeback_block range must lie within one line of this level");
+  const std::size_t set = slot.set;
   ++stats_.accesses;
   ++stats_.stores;
-  charge_lookup();
-  std::size_t latency = hit_latency();
+  AccessResult scratch = lookup(ctx, slot);
+  std::size_t latency = scratch.latency_cycles;
+  std::size_t w = scratch.way;
 
-  const std::size_t wpl = config_.org.words_per_line();
-  const std::size_t first_word =
-      static_cast<std::size_t>(addr % config_.org.line_bytes) / 4;
-  const std::size_t set = set_of(line_addr);
-  AccessResult scratch;
-  std::size_t w = find_way(line_addr, set, scratch);
-
-  const bool allocate =
-      config_.write_policy == WritePolicy::kWriteBackAllocate;
-  if (w == config_.org.ways) {
+  const bool allocate = !ctx.write_through;
+  if (!scratch.hit) {
     ++stats_.misses;
     if (!allocate) {
       // Write-through/no-allocate: pass the block straight down.
@@ -800,8 +686,8 @@ std::size_t Cache::writeback_block(std::uint64_t addr,
     scratch.latency_cycles = 0;
     // A full-line write allocates without fetching from below; a partial
     // write merges into the fetched line.
-    const bool full_line = count == wpl;
-    w = fill_line(line_addr, set, scratch, full_line ? words : nullptr);
+    const bool full_line = count == ctx.wpl;
+    w = fill_line(slot.line_addr, set, scratch, full_line ? words : nullptr);
     latency += scratch.latency_cycles;
     if (full_line) {
       ways_[w].lines[set].dirty = true;
@@ -814,7 +700,7 @@ std::size_t Cache::writeback_block(std::uint64_t addr,
 
   const auto& model = energy_model();
   for (std::size_t i = 0; i < count; ++i) {
-    write_data_word(w, set, first_word + i, words[i]);
+    write_data_word(w, set, slot.word + i, words[i]);
   }
   charge(kEnergyDynamic,
          static_cast<double>(count) * model.word_write_energy(w));

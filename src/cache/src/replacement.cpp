@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "hvc/common/error.hpp"
 
@@ -41,7 +42,7 @@ class LruPolicy final : public ReplacementPolicy {
   }
 
   std::size_t victim(std::size_t set,
-                     const std::vector<std::size_t>& candidates) override {
+                     std::span<const std::size_t> candidates) override {
     expects(!candidates.empty(), "victim needs candidates");
     std::size_t best = candidates.front();
     std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
@@ -84,7 +85,7 @@ class FifoPolicy final : public ReplacementPolicy {
   TouchSeam touch_seam() noexcept override { return {nullptr, nullptr, true}; }
 
   std::size_t victim(std::size_t set,
-                     const std::vector<std::size_t>& candidates) override {
+                     std::span<const std::size_t> candidates) override {
     expects(!candidates.empty(), "victim needs candidates");
     std::size_t best = candidates.front();
     std::uint64_t oldest = std::numeric_limits<std::uint64_t>::max();
@@ -116,7 +117,7 @@ class RandomPolicy final : public ReplacementPolicy {
   TouchSeam touch_seam() noexcept override { return {nullptr, nullptr, true}; }
 
   std::size_t victim(std::size_t,
-                     const std::vector<std::size_t>& candidates) override {
+                     std::span<const std::size_t> candidates) override {
     expects(!candidates.empty(), "victim needs candidates");
     return candidates[static_cast<std::size_t>(rng_.below(candidates.size()))];
   }

@@ -178,7 +178,7 @@ class Core {
   void begin_run();
 
   /// Replays one trace record against the pipeline/energy model, with
-  /// the L1 lookups through cache::Cache::access_batched. The multi-core
+  /// the L1 lookups through cache::Cache::access. The multi-core
   /// interleaver (sim::System::run_mix) steps this once per core per
   /// round. Defined inline below so that per-record loop pays no
   /// cross-TU call.
@@ -241,20 +241,18 @@ class Core {
 // Defined here (not in core.cpp) so the replay drivers — Core::run's
 // block loop and the multi-core interleaver in sim::System, which steps
 // one record per core per round — inline the whole per-record pipeline
-// model together with the cache's inline access_batched.
+// model together with the cache's inline access().
 inline void Core::step(const trace::Record& record, RunState& state) {
   cache::Cache& il1_ = *ports_.il1;
   cache::Cache& dl1_ = *ports_.dl1;
-  bool hit = false;
-  std::uint32_t latency = 0;
   switch (record.kind) {
     case trace::Kind::kIfetch: {
       ++state.instructions;
       ++state.cycles;  // base CPI 1 with pipelined fetch
-      il1_.access_batched(record.addr, cache::AccessType::kIfetch, 0, hit,
-                          latency);
-      if (!hit) {
-        state.cycles += latency - consts_.il1_hit;  // miss stall
+      const cache::AccessResult r =
+          il1_.access(record.addr, cache::AccessType::kIfetch);
+      if (!r.hit) {
+        state.cycles += r.latency_cycles - consts_.il1_hit;  // miss stall
       }
       state.arrays_dynamic += consts_.tlb_read;  // ITLB lookup
       state.arrays_dynamic +=
@@ -263,10 +261,10 @@ inline void Core::step(const trace::Record& record, RunState& state) {
       break;
     }
     case trace::Kind::kLoad: {
-      dl1_.access_batched(record.addr, cache::AccessType::kLoad, 0, hit,
-                          latency);
-      if (!hit) {
-        state.cycles += latency - consts_.dl1_hit;
+      const cache::AccessResult r =
+          dl1_.access(record.addr, cache::AccessType::kLoad);
+      if (!r.hit) {
+        state.cycles += r.latency_cycles - consts_.dl1_hit;
       }
       // Load-to-use: with probability p the consumer is adjacent and
       // exposes the (hit latency - 1) bubble, including the EDC cycle.
@@ -278,10 +276,10 @@ inline void Core::step(const trace::Record& record, RunState& state) {
       break;
     }
     case trace::Kind::kStore: {
-      dl1_.access_batched(record.addr, cache::AccessType::kStore, 0, hit,
-                          latency);
-      if (!hit) {
-        state.cycles += latency - consts_.dl1_hit;
+      const cache::AccessResult r =
+          dl1_.access(record.addr, cache::AccessType::kStore);
+      if (!r.hit) {
+        state.cycles += r.latency_cycles - consts_.dl1_hit;
       }
       state.arrays_dynamic += consts_.tlb_read;
       break;

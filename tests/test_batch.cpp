@@ -1,8 +1,9 @@
 // Differential pins of the replay path, at two levels:
-//   * cache: every op issued through Cache::access_batched (the inline
-//     fast path the core drives) must be bit-identical — all stats, every
-//     energy category as an exact double, every per-op hit/latency — to
-//     a twin cache driven through the full scalar Cache::access();
+//   * cache: every op issued through Cache::access (the one demand path
+//     the core drives) must be bit-identical — all stats, every energy
+//     category as an exact double, every per-op result — to a twin
+//     testref::ReferenceCache (tests/reference_cache.hpp), a deliberately
+//     simple model of the same datapath;
 //   * system: Core::run and System::run_mix_sources (block-pulled
 //     sources, one-live-core tail) must match a test-local reference
 //     driver built from the public incremental API — one Core::step per
@@ -20,6 +21,7 @@
 #include "hvc/sim/system.hpp"
 #include "hvc/trace/trace.hpp"
 #include "hvc/workloads/workload.hpp"
+#include "reference_cache.hpp"
 
 namespace hvc {
 namespace {
@@ -27,7 +29,7 @@ namespace {
 using cache::AccessType;
 
 // ---------------------------------------------------------------------
-// Cache-level differential: twin caches, one scalar, one batched.
+// Cache-level differential: the library cache against the reference.
 // ---------------------------------------------------------------------
 
 struct CacheVariant {
@@ -35,9 +37,9 @@ struct CacheVariant {
   const char* label = "";
 };
 
-/// Paper-shaped 8KB 7+1 cache, parameterized over the axes the batch
-/// fast path special-cases: EDC codecs, hard faults (tag faults force
-/// the scalar fallback per set), and the write policy.
+/// Paper-shaped 8KB 7+1 cache, parameterized over the axes the demand
+/// path special-cases: EDC codecs, hard faults (tag faults send a set
+/// through the decoding tag probe), and the write policy.
 [[nodiscard]] cache::CacheConfig shaped_config(edc::Protection hp_protection,
                                                edc::Protection ule_protection,
                                                double ule_pf,
@@ -64,14 +66,15 @@ struct Op {
   std::uint32_t store_value = 0;
 };
 
-/// Mixed op stream over ~2x the cache footprint: hits, misses,
+/// Mixed op stream over `footprint` bytes (2x the cache): hits, misses,
 /// evictions, 1 store per 4 ops, 1 ifetch per 7.
 [[nodiscard]] std::vector<Op> op_stream(std::size_t count,
+                                        std::uint64_t footprint,
                                         std::uint64_t seed) {
   Rng rng(seed);
   std::vector<Op> ops(count);
   for (std::size_t i = 0; i < count; ++i) {
-    ops[i].addr = (rng.below(2 * 8 * 1024) / 4) * 4;
+    ops[i].addr = (rng.below(footprint) / 4) * 4;
     ops[i].type = (i % 4 == 3)   ? AccessType::kStore
                   : (i % 7 == 0) ? AccessType::kIfetch
                                  : AccessType::kLoad;
@@ -80,10 +83,10 @@ struct Op {
   return ops;
 }
 
-void expect_stats_equal(const cache::Cache& scalar,
-                        const cache::Cache& batched, const char* what) {
-  const cache::CacheStats& a = scalar.stats();
-  const cache::CacheStats& b = batched.stats();
+void expect_stats_equal(const testref::ReferenceCache& reference,
+                        const cache::Cache& cache, const char* what) {
+  const cache::CacheStats& a = reference.stats();
+  const cache::CacheStats& b = cache.stats();
   EXPECT_EQ(a.accesses, b.accesses) << what;
   EXPECT_EQ(a.hits, b.hits) << what;
   EXPECT_EQ(a.misses, b.misses) << what;
@@ -96,45 +99,48 @@ void expect_stats_equal(const cache::Cache& scalar,
   EXPECT_EQ(a.edc_detected, b.edc_detected) << what;
   EXPECT_EQ(a.mode_switch_writebacks, b.mode_switch_writebacks) << what;
   // The pin that matters most: FP energy, exactly.
-  EXPECT_EQ(scalar.dynamic_energy_j(), batched.dynamic_energy_j()) << what;
-  EXPECT_EQ(scalar.edc_energy_j(), batched.edc_energy_j()) << what;
+  EXPECT_EQ(reference.dynamic_energy_j(), cache.dynamic_energy_j()) << what;
+  EXPECT_EQ(reference.edc_energy_j(), cache.edc_energy_j()) << what;
 }
 
-/// Drives the same op stream through a scalar twin (access()) and a
-/// batched twin (access_batched(), one op at a time — exactly how
-/// cpu::Core issues them), switching both to `switch_mode` before op
-/// `switch_at` when set. Compares every per-op hit/latency and the final
-/// stats/energy.
+/// Drives the same op stream through the library cache and the
+/// reference, one op at a time (exactly how cpu::Core issues them),
+/// switching both to `switch_mode` before op `switch_at` when set.
+/// Compares every per-op result and the final stats/energy.
 void run_differential(const cache::CacheConfig& config, power::Mode mode,
                       const char* what, std::size_t switch_at = 0,
                       power::Mode switch_mode = power::Mode::kHp) {
   cache::MainMemory mem_a, mem_b;
-  Rng rng_a(7), rng_b(7);
+  Rng rng(7);
   cache::MainMemoryLevel term_a(mem_a, config.memory_latency_cycles);
   cache::MainMemoryLevel term_b(mem_b, config.memory_latency_cycles);
-  cache::Cache scalar(config, term_a, rng_a);
-  cache::Cache batched(config, term_b, rng_b);
-  scalar.set_mode(mode);
-  batched.set_mode(mode);
+  testref::ReferenceCache reference(config, term_a);
+  cache::Cache cache(config, term_b, rng);
+  reference.set_mode(mode);
+  cache.set_mode(mode);
 
-  const auto ops = op_stream(4096, 42);
+  const std::uint64_t footprint = 2 * config.org.size_bytes;
+  const auto ops = op_stream(4096, footprint, 42);
   for (std::size_t j = 0; j < ops.size(); ++j) {
     if (switch_at != 0 && j == switch_at) {
-      scalar.set_mode(switch_mode);
-      batched.set_mode(switch_mode);
+      reference.set_mode(switch_mode);
+      cache.set_mode(switch_mode);
     }
     const Op& op = ops[j];
-    bool hit = false;
-    std::uint32_t latency = 0;
-    batched.access_batched(op.addr, op.type, op.store_value, hit, latency);
-    const auto ref = scalar.access(op.addr, op.type, op.store_value);
-    ASSERT_EQ(ref.hit, hit) << what << " op " << j;
-    ASSERT_EQ(static_cast<std::uint32_t>(ref.latency_cycles), latency)
+    const auto got = cache.access(op.addr, op.type, op.store_value);
+    const auto want = reference.access(op.addr, op.type, op.store_value);
+    ASSERT_EQ(want.hit, got.hit) << what << " op " << j;
+    ASSERT_EQ(want.way, got.way) << what << " op " << j;
+    ASSERT_EQ(want.latency_cycles, got.latency_cycles) << what << " op " << j;
+    ASSERT_EQ(want.data, got.data) << what << " op " << j;
+    ASSERT_EQ(want.writeback, got.writeback) << what << " op " << j;
+    ASSERT_EQ(want.corrected_bits, got.corrected_bits) << what << " op " << j;
+    ASSERT_EQ(want.detected_uncorrectable, got.detected_uncorrectable)
         << what << " op " << j;
   }
-  expect_stats_equal(scalar, batched, what);
+  expect_stats_equal(reference, cache, what);
   // The stored memory images must agree too (stores/writebacks).
-  for (std::uint64_t a = 0; a < 2 * 8 * 1024; a += 512) {
+  for (std::uint64_t a = 0; a < footprint; a += 512) {
     EXPECT_EQ(mem_a.read_word(a), mem_b.read_word(a)) << what;
   }
 }
@@ -148,7 +154,7 @@ TEST(BatchTwin, HpUncodedBitIdentical) {
 
 TEST(BatchTwin, HpCodedBitIdentical) {
   // SECDED on every way at HP: lookup tag-decode charges, per-load data
-  // decode and per-store encode all replay through the batch path.
+  // decode and per-store encode on every hit.
   run_differential(shaped_config(edc::Protection::kSecded,
                                  edc::Protection::kSecded, 0.0,
                                  cache::WritePolicy::kWriteBackAllocate),
@@ -156,13 +162,18 @@ TEST(BatchTwin, HpCodedBitIdentical) {
 }
 
 TEST(BatchTwin, UleFaultyBitIdentical) {
-  // Exaggerated Pf: stuck tag bits force per-set scalar fallback and
-  // stuck data bits feed the live correction path — both must land on
-  // exactly the scalar counters.
+  // Exaggerated Pf: stuck tag bits send sets through the decoding tag
+  // probe and stuck data bits feed the live correction path — both must
+  // land on exactly the reference counters.
   run_differential(shaped_config(edc::Protection::kNone,
                                  edc::Protection::kSecded, 3e-3,
                                  cache::WritePolicy::kWriteBackAllocate),
                    power::Mode::kUle, "ule-faulty");
+  // Uncoded at ULE: stuck data bits reach the loaded word as they are.
+  run_differential(shaped_config(edc::Protection::kNone,
+                                 edc::Protection::kNone, 3e-3,
+                                 cache::WritePolicy::kWriteBackAllocate),
+                   power::Mode::kUle, "ule-faulty-uncoded");
 }
 
 TEST(BatchTwin, WriteThroughBitIdentical) {
@@ -173,7 +184,7 @@ TEST(BatchTwin, WriteThroughBitIdentical) {
 }
 
 TEST(BatchTwin, MidStreamModeSwitchBitIdentical) {
-  // HP -> ULE at op 1000: the drain writebacks, the batch-context
+  // HP -> ULE at op 1000: the drain writebacks, the mode-context
   // invalidation and the post-switch ULE accounting must all replay
   // exactly.
   run_differential(shaped_config(edc::Protection::kNone,
@@ -184,21 +195,27 @@ TEST(BatchTwin, MidStreamModeSwitchBitIdentical) {
 }
 
 // ---------------------------------------------------------------------
-// Associativity sweep: the vectorized hit probe (PR 8) compares probe
-// rows padded to a multiple of the vector width, so ways 1 and 2 probe
-// mostly sentinel lanes and way 8 fills two full vectors. Every width
-// must replay the scalar path bit-identically — same hits, same
-// exact-double energy — across the codec, fault and write-policy axes.
+// Geometry sweep: the lookup scans one probe-key row of `ways` keys, and
+// address decode takes shift/mask for power-of-two geometry and divides
+// otherwise. Every shape must replay the reference bit-identically —
+// same hits, same exact-double energy — across the codec, fault and
+// write-policy axes.
 // ---------------------------------------------------------------------
 
-/// 8KB cache at `ways` associativity (sets shrink to keep the paper's
-/// capacity), last way always the ULE way.
-[[nodiscard]] cache::CacheConfig ways_config(std::size_t ways,
+struct Geometry {
+  std::size_t size_bytes = 8 * 1024;
+  std::size_t ways = 8;
+};
+
+/// A `geometry`-shaped cache, last way always the ULE way.
+[[nodiscard]] cache::CacheConfig ways_config(const Geometry& geometry,
                                              edc::Protection hp_protection,
                                              edc::Protection ule_protection,
                                              double ule_pf,
                                              cache::WritePolicy policy) {
+  const std::size_t ways = geometry.ways;
   cache::CacheConfig config;
+  config.org.size_bytes = geometry.size_bytes;
   config.org.ways = ways;
   config.ways.resize(ways);
   for (std::size_t w = 0; w + 1 < ways; ++w) {
@@ -215,11 +232,10 @@ TEST(BatchTwin, MidStreamModeSwitchBitIdentical) {
   return config;
 }
 
-class BatchWays : public ::testing::TestWithParam<std::size_t> {};
+class BatchWays : public ::testing::TestWithParam<Geometry> {};
 
 TEST_P(BatchWays, HpUncodedBitIdentical) {
-  // The SIMD probe's home shape: uncoded HP, every probe a vector
-  // compare (ways < 4 exercise the sentinel padding lanes).
+  // The probe-row shortcut's home shape: uncoded HP, every set clean.
   run_differential(ways_config(GetParam(), edc::Protection::kNone,
                                edc::Protection::kSecded, 0.0,
                                cache::WritePolicy::kWriteBackAllocate),
@@ -247,7 +263,14 @@ TEST_P(BatchWays, WriteThroughBitIdentical) {
                    power::Mode::kHp, "ways-write-through");
 }
 
-INSTANTIATE_TEST_SUITE_P(Ways, BatchWays, ::testing::Values(1, 2, 4, 8));
+// 8 KB at 1/2/4/8 ways, and 12 KB 4-way: 96 sets, the divide branch of
+// the address decode.
+INSTANTIATE_TEST_SUITE_P(Ways, BatchWays,
+                         ::testing::Values(Geometry{8 * 1024, 1},
+                                           Geometry{8 * 1024, 2},
+                                           Geometry{8 * 1024, 4},
+                                           Geometry{8 * 1024, 8},
+                                           Geometry{12 * 1024, 4}));
 
 // ---------------------------------------------------------------------
 // System-level differential: the replay loops against a reference driver.

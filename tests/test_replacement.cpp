@@ -7,6 +7,8 @@
 namespace hvc::cache {
 namespace {
 
+// victim() takes a span: `{{0, 1}}` is an array of candidates it views.
+
 TEST(Replacement, FactoryNames) {
   EXPECT_EQ(to_string(ReplacementKind::kLru), "LRU");
   EXPECT_EQ(to_string(ReplacementKind::kFifo), "FIFO");
@@ -20,7 +22,7 @@ TEST(Lru, EvictsLeastRecentlyUsed) {
   policy->touch(0, 2);
   policy->touch(0, 3);
   policy->touch(0, 0);  // 0 becomes most recent; 1 is now oldest
-  EXPECT_EQ(policy->victim(0, {0, 1, 2, 3}), 1u);
+  EXPECT_EQ(policy->victim(0, {{0, 1, 2, 3}}), 1u);
 }
 
 TEST(Lru, HitPromotes) {
@@ -29,7 +31,7 @@ TEST(Lru, HitPromotes) {
   policy->touch(0, 1);
   policy->touch(0, 2);
   policy->touch(0, 0);  // re-reference way 0
-  EXPECT_EQ(policy->victim(0, {0, 1, 2}), 1u);
+  EXPECT_EQ(policy->victim(0, {{0, 1, 2}}), 1u);
 }
 
 TEST(Lru, SetsAreIndependent) {
@@ -38,8 +40,8 @@ TEST(Lru, SetsAreIndependent) {
   policy->touch(1, 1);
   policy->touch(0, 1);
   // Set 0: way 0 older than way 1. Set 1: way 0 untouched (stamp 0).
-  EXPECT_EQ(policy->victim(0, {0, 1}), 0u);
-  EXPECT_EQ(policy->victim(1, {0, 1}), 0u);
+  EXPECT_EQ(policy->victim(0, {{0, 1}}), 0u);
+  EXPECT_EQ(policy->victim(1, {{0, 1}}), 0u);
 }
 
 TEST(Lru, RestrictedCandidates) {
@@ -50,7 +52,7 @@ TEST(Lru, RestrictedCandidates) {
   policy->touch(0, 1);
   policy->touch(0, 2);
   policy->touch(0, 3);
-  EXPECT_EQ(policy->victim(0, {2, 3}), 2u);
+  EXPECT_EQ(policy->victim(0, {{2, 3}}), 2u);
 }
 
 TEST(Fifo, IgnoresHits) {
@@ -59,13 +61,13 @@ TEST(Fifo, IgnoresHits) {
   policy->touch(0, 1);
   policy->touch(0, 2);
   policy->touch(0, 0);  // hit on 0: FIFO order unchanged
-  EXPECT_EQ(policy->victim(0, {0, 1, 2}), 0u);
+  EXPECT_EQ(policy->victim(0, {{0, 1, 2}}), 0u);
 }
 
 TEST(Random, OnlyPicksCandidates) {
   auto policy = make_policy(ReplacementKind::kRandom, 1, 8, 7);
   for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t victim = policy->victim(0, {3, 5});
+    const std::size_t victim = policy->victim(0, {{3, 5}});
     EXPECT_TRUE(victim == 3 || victim == 5);
   }
 }
@@ -74,7 +76,7 @@ TEST(Random, EventuallyPicksAll) {
   auto policy = make_policy(ReplacementKind::kRandom, 1, 4, 9);
   std::array<bool, 4> seen{};
   for (int trial = 0; trial < 200; ++trial) {
-    seen[policy->victim(0, {0, 1, 2, 3})] = true;
+    seen[policy->victim(0, {{0, 1, 2, 3}})] = true;
   }
   EXPECT_TRUE(seen[0] && seen[1] && seen[2] && seen[3]);
 }
