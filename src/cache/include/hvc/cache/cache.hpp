@@ -6,11 +6,28 @@
 // shutdown at ULE mode, and bit-level hard/soft fault injection so the EDC
 // datapath is exercised end to end.
 //
-// Every tag and data word is stored as its real codeword bits. Reads pull
-// the raw bits through the fault map, decode them, and report corrections;
-// a detected-uncorrectable tag forces a miss, a detected-uncorrectable
-// data word falls back to memory (counted — with properly sized cells this
-// must never happen, which is the paper's predictability argument).
+// Every tag and data word is stored as its real codeword bits. A read
+// applies the stuck bits under that codeword (ULE mode only; sampled once
+// per chip into a per-codeword mask and value), decodes the result and
+// reports corrections; a detected-uncorrectable tag forces a miss, a
+// detected-uncorrectable data word falls back to memory (counted — with
+// properly sized cells this must never happen, which is the paper's
+// predictability argument).
+//
+// A clean coded word skips its decode, exactly. A stored word is clean
+// when no stuck bit lies under it and (for data words) no soft flip has
+// hit it since it was last written. Such a word is the codeword
+// write_data_word/write_tag stored with this mode's codec: every coded
+// write goes through them (fill, store, writeback_block, scrub rewrite,
+// set_mode re-encode), and set_mode re-encodes every retained line whose
+// code changes. A valid codeword has a zero syndrome, so its decode is
+// {kClean, data bits, 0 corrected} (edc::make_codec), which is what the
+// skip returns. Decoding charges no energy (callers charge edc_decode
+// before they read), so the FP adds are the same; the detected, refetch
+// and re-encode outcomes need a nonzero syndrome, which only a stuck or
+// flipped word can have, and those keep the full decode.
+// tests/reference_cache.hpp decodes every word and pins the skip in
+// tests/test_batch.cpp.
 #pragma once
 
 #include <cstdint>
@@ -88,8 +105,9 @@ class Cache : public MemoryLevel {
   /// Performs one demand access at the current mode: the cache's one
   /// demand path, which cpu::Core drives once per trace record.
   /// Functionally exact: loads return the value the program would see
-  /// (tag decode, data decode, fill, write-back). Plain hits resolve
-  /// inline over a per-mode context; coded and write-through hits and
+  /// (tag decode, data decode, fill, write-back). Plain hits and loads of
+  /// clean coded words resolve inline over a per-mode context; coded
+  /// stores, write-through hits, loads of stuck or flipped words and
   /// misses leave through out-of-line tails. tests/test_batch.cpp pins
   /// every stat, energy add and per-op result against a simple reference
   /// cache.
@@ -196,6 +214,13 @@ class Cache : public MemoryLevel {
     std::uint64_t line_addr = 0;  ///< addr / line_bytes
   };
 
+  /// Per-data-word state bits (Way::word_state). A word with neither bit
+  /// is clean (file comment): its load needs no fault bits and no decode.
+  enum WordState : std::uint8_t {
+    kWordStuck = 1,    ///< a stuck cell lies under the codeword (ULE)
+    kWordFlipped = 2,  ///< a soft flip hit it since write_data_word
+  };
+
   struct Way {
     std::vector<Line> lines;  ///< indexed by set
     /// Packed cache-line storage: each stored codeword (data word + check
@@ -204,12 +229,23 @@ class Cache : public MemoryLevel {
     /// copies on the access path.
     std::vector<std::uint64_t> data_words;  ///< sets * words_per_line
     std::vector<std::uint64_t> tag_words;   ///< one per set
-    std::unique_ptr<edc::Codec> data_codec_hp;
-    std::unique_ptr<edc::Codec> data_codec_ule;
-    std::unique_ptr<edc::Codec> tag_codec_hp;
-    std::unique_ptr<edc::Codec> tag_codec_ule;
-    std::unique_ptr<FaultMap> data_faults;
-    std::unique_ptr<FaultMap> tag_faults;
+    std::shared_ptr<const edc::Codec> data_codec_hp;
+    std::shared_ptr<const edc::Codec> data_codec_ule;
+    std::shared_ptr<const edc::Codec> tag_codec_hp;
+    std::shared_ptr<const edc::Codec> tag_codec_ule;
+    /// Stuck bits under each stored data codeword (indexed like
+    /// data_words) and each stored tag (indexed by set), sampled once per
+    /// chip at init(). Empty when the array has no stuck cell. They show
+    /// at ULE mode only (HP-way cells are sized for negligible Pf at high
+    /// Vcc).
+    std::vector<StuckBits> data_stuck;
+    std::vector<StuckBits> tag_stuck;
+    /// WordState bits per data word (indexed like data_words). kWordStuck
+    /// is fixed at init(); flips set kWordFlipped and write_data_word
+    /// clears it. The inline uncoded store bypasses write_data_word and
+    /// leaves a set bit set: a stale bit only sends a load to the full
+    /// read, never the other way round.
+    std::vector<std::uint8_t> word_state;
     std::unique_ptr<SoftErrorProcess> soft_process;
   };
 
@@ -251,6 +287,8 @@ class Cache : public MemoryLevel {
       /// Raw view into the owning Way's storage (stable: the vector is
       /// sized once at construction and never reallocated).
       std::uint64_t* data_words = nullptr;
+      /// The way's Way::word_state (same stability).
+      const std::uint8_t* word_state = nullptr;
       const edc::Codec* data_codec = nullptr;
       /// Loads read the stored word as is: no codec and no stuck data bit
       /// in this mode.
@@ -310,9 +348,15 @@ class Cache : public MemoryLevel {
   [[nodiscard]] std::optional<std::uint64_t> read_tag(std::size_t w,
                                                       std::size_t set,
                                                       AccessResult& result);
-  /// Reads and decodes data word `word` of (way,set).
+  /// Reads and decodes data word `word` of (way,set); a clean word
+  /// skips the decode (see the file comment).
   [[nodiscard]] std::optional<std::uint32_t> read_data_word(
       std::size_t w, std::size_t set, std::size_t word, AccessResult& result);
+  /// Decodes a received codeword, counting its corrections or its
+  /// detected error into the stats and `result`; nullopt when detected.
+  [[nodiscard]] std::optional<std::uint64_t> decode(const edc::Codec& codec,
+                                                    std::uint64_t received,
+                                                    AccessResult& result);
 
   void write_data_word(std::size_t w, std::size_t set, std::size_t word,
                        std::uint32_t value);
@@ -337,12 +381,6 @@ class Cache : public MemoryLevel {
                                             std::size_t word) const noexcept {
     return set * config_.org.words_per_line() + word;
   }
-
-  /// Bit offset of (set, word) inside a way's data fault map.
-  [[nodiscard]] std::size_t data_bit_base(std::size_t w, std::size_t set,
-                                          std::size_t word) const noexcept;
-  [[nodiscard]] std::size_t tag_bit_base(std::size_t w,
-                                         std::size_t set) const noexcept;
 
   /// Allocates a line: victim selection, dirty-victim write-back, tag
   /// write. With `incoming == nullptr` the content is fetched from the
@@ -491,7 +529,12 @@ inline AccessResult Cache::access(std::uint64_t addr, AccessType type,
   }
 
   energy_j_[kEnergyEdc] += wc.edc_decode;
-  if (!wc.raw_load) {
+  // A clean word reads back as stored, and a clean coded word decodes to
+  // its data bits (file comment): both take the plain load below. Only a
+  // stuck or flipped word leaves for the fault bits and the full decode.
+  // (Keep this one byte test: applying the stuck bits here, inline, made
+  // the uncoded hit path ~15% slower.)
+  if (!wc.raw_load && wc.word_state[widx] != 0) {
     AccessResult coded = result;
     load_tail(slot, addr, coded);
     return coded;

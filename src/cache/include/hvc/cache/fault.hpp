@@ -11,12 +11,21 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "hvc/common/bitvec.hpp"
 #include "hvc/common/rng.hpp"
 
 namespace hvc::cache {
+
+/// The stuck bits under one stored word, aligned to the word's bit 0:
+/// reading the word gives (stored & ~mask) | value. `value` has no bit
+/// outside `mask`.
+struct StuckBits {
+  std::uint64_t mask = 0;
+  std::uint64_t value = 0;
+};
 
 /// Stuck-at fault map over a fixed-size bit array.
 class FaultMap {
@@ -45,8 +54,10 @@ class FaultMap {
   [[nodiscard]] std::uint64_t apply_word(std::uint64_t word, std::size_t base,
                                          std::size_t count) const;
 
-  /// True when any of [base, base+count) is stuck.
-  [[nodiscard]] bool any_stuck(std::size_t base, std::size_t count) const;
+  /// The stuck bits of positions [base, base+count), as a word-aligned
+  /// mask and value. Requires count <= 64.
+  [[nodiscard]] StuckBits stuck_word(std::size_t base,
+                                     std::size_t count) const;
 
  private:
   BitVec stuck_mask_;

@@ -9,7 +9,7 @@
 namespace hvc::cache {
 
 namespace {
-[[nodiscard]] std::unique_ptr<edc::Codec> codec_or_null(
+[[nodiscard]] std::shared_ptr<const edc::Codec> codec_or_null(
     edc::Protection protection, std::size_t bits) {
   if (protection == edc::Protection::kNone) {
     return nullptr;
@@ -69,10 +69,26 @@ void Cache::init() {
 
     const double pf =
         config_.way_hard_pf.empty() ? 0.0 : config_.way_hard_pf[w];
-    const std::size_t data_bits = sets * wpl * stored_data_cw_bits_[w];
-    const std::size_t tag_bits = sets * stored_tag_cw_bits_[w];
-    way.data_faults = std::make_unique<FaultMap>(data_bits, pf, fault_rng);
-    way.tag_faults = std::make_unique<FaultMap>(tag_bits, pf, fault_rng);
+    const std::size_t data_cw = stored_data_cw_bits_[w];
+    const std::size_t tag_cw = stored_tag_cw_bits_[w];
+    const FaultMap data_faults(sets * wpl * data_cw, pf, fault_rng);
+    const FaultMap tag_faults(sets * tag_cw, pf, fault_rng);
+    way.word_state.assign(sets * wpl, 0);
+    if (data_faults.fault_count() != 0) {
+      way.data_stuck.resize(sets * wpl);
+      for (std::size_t i = 0; i < way.data_stuck.size(); ++i) {
+        way.data_stuck[i] = data_faults.stuck_word(i * data_cw, data_cw);
+        if (way.data_stuck[i].mask != 0) {
+          way.word_state[i] = kWordStuck;
+        }
+      }
+    }
+    if (tag_faults.fault_count() != 0) {
+      way.tag_stuck.resize(sets);
+      for (std::size_t set = 0; set < sets; ++set) {
+        way.tag_stuck[set] = tag_faults.stuck_word(set * tag_cw, tag_cw);
+      }
+    }
   }
   line_buf_.assign(wpl, 0);
   line_word_ok_.assign(wpl, 1);
@@ -97,16 +113,6 @@ const edc::Codec* Cache::tag_codec(std::size_t w) const noexcept {
 std::uint64_t Cache::tag_of(std::uint64_t line_addr) const noexcept {
   const std::uint64_t tag = line_addr / config_.org.sets();
   return tag & ((1ULL << config_.org.tag_bits) - 1);
-}
-
-std::size_t Cache::data_bit_base(std::size_t w, std::size_t set,
-                                 std::size_t word) const noexcept {
-  return (set * config_.org.words_per_line() + word) *
-         stored_data_cw_bits_[w];
-}
-
-std::size_t Cache::tag_bit_base(std::size_t w, std::size_t set) const noexcept {
-  return set * stored_tag_cw_bits_[w];
 }
 
 const power::CacheEnergyModel& Cache::energy_model() const noexcept {
@@ -160,27 +166,10 @@ void Cache::find_way(std::uint64_t line_addr, std::size_t set,
   }
 }
 
-std::optional<std::uint64_t> Cache::read_tag(std::size_t w, std::size_t set,
-                                             AccessResult& result) {
-  const Line& line = ways_[w].lines[set];
-  if (!line.valid) {
-    return std::nullopt;
-  }
-  const edc::Codec* codec = tag_codec(w);
-  const std::size_t active_bits =
-      codec ? codec->codeword_bits() : config_.org.tag_bits;
-  std::uint64_t raw = ways_[w].tag_words[set];
-  // Hard faults manifest at near-threshold voltage only (HP-way cells are
-  // sized for negligible Pf at high Vcc).
-  if (mode_ == power::Mode::kUle) {
-    raw = ways_[w].tag_faults->apply_word(raw, tag_bit_base(w, set),
-                                          stored_tag_cw_bits_[w]);
-  }
-  raw &= low_mask(active_bits);
-  if (codec == nullptr) {
-    return raw;
-  }
-  const edc::WordDecodeResult decoded = codec->decode_word(raw);
+std::optional<std::uint64_t> Cache::decode(const edc::Codec& codec,
+                                           std::uint64_t received,
+                                           AccessResult& result) {
+  const edc::WordDecodeResult decoded = codec.decode_word(received);
   if (decoded.status == edc::DecodeStatus::kDetected) {
     ++stats_.edc_detected;
     result.detected_uncorrectable = true;
@@ -193,41 +182,56 @@ std::optional<std::uint64_t> Cache::read_tag(std::size_t w, std::size_t set,
   return decoded.data;
 }
 
+std::optional<std::uint64_t> Cache::read_tag(std::size_t w, std::size_t set,
+                                             AccessResult& result) {
+  const Way& way = ways_[w];
+  if (!way.lines[set].valid) {
+    return std::nullopt;
+  }
+  const StuckBits stuck = mode_ == power::Mode::kUle && !way.tag_stuck.empty()
+                              ? way.tag_stuck[set]
+                              : StuckBits{};
+  const std::uint64_t raw = (way.tag_words[set] & ~stuck.mask) | stuck.value;
+  const edc::Codec* codec = tag_codec(w);
+  // Soft errors never reach tags, so a tag with no stuck bit is clean.
+  if (codec == nullptr || stuck.mask == 0) {
+    return raw & low_mask(config_.org.tag_bits);
+  }
+  return decode(*codec, raw & low_mask(codec->codeword_bits()), result);
+}
+
 std::optional<std::uint32_t> Cache::read_data_word(std::size_t w,
                                                    std::size_t set,
                                                    std::size_t word,
                                                    AccessResult& result) {
+  const Way& way = ways_[w];
+  const std::size_t index = data_word_index(set, word);
+  const StuckBits stuck =
+      mode_ == power::Mode::kUle && !way.data_stuck.empty()
+          ? way.data_stuck[index]
+          : StuckBits{};
+  const std::uint64_t raw =
+      (way.data_words[index] & ~stuck.mask) | stuck.value;
   const edc::Codec* codec = data_codec(w);
-  const std::size_t active_bits =
-      codec ? codec->codeword_bits() : config_.org.word_bits;
-  std::uint64_t raw = ways_[w].data_words[data_word_index(set, word)];
-  if (mode_ == power::Mode::kUle) {
-    raw = ways_[w].data_faults->apply_word(raw, data_bit_base(w, set, word),
-                                           stored_data_cw_bits_[w]);
+  if (codec == nullptr ||
+      (stuck.mask == 0 && (way.word_state[index] & kWordFlipped) == 0)) {
+    return static_cast<std::uint32_t>(raw & low_mask(config_.org.word_bits));
   }
-  raw &= low_mask(active_bits);
-  if (codec == nullptr) {
-    return static_cast<std::uint32_t>(raw);
-  }
-  const edc::WordDecodeResult decoded = codec->decode_word(raw);
-  if (decoded.status == edc::DecodeStatus::kDetected) {
-    ++stats_.edc_detected;
-    result.detected_uncorrectable = true;
+  const auto decoded =
+      decode(*codec, raw & low_mask(codec->codeword_bits()), result);
+  if (!decoded) {
     return std::nullopt;
   }
-  if (decoded.status == edc::DecodeStatus::kCorrected) {
-    stats_.edc_corrections += decoded.corrected_bits;
-    result.corrected_bits += decoded.corrected_bits;
-  }
-  return static_cast<std::uint32_t>(decoded.data);
+  return static_cast<std::uint32_t>(*decoded);
 }
 
 void Cache::write_data_word(std::size_t w, std::size_t set, std::size_t word,
                             std::uint32_t value) {
   const edc::Codec* codec = data_codec(w);
   const std::uint64_t data = value & low_mask(config_.org.word_bits);
-  ways_[w].data_words[data_word_index(set, word)] =
-      codec ? codec->encode_word(data) : data;
+  const std::size_t index = data_word_index(set, word);
+  ways_[w].data_words[index] = codec ? codec->encode_word(data) : data;
+  ways_[w].word_state[index] &= ~kWordFlipped;
 }
 
 void Cache::write_tag(std::size_t w, std::size_t set, std::uint64_t tag) {
@@ -398,11 +402,12 @@ void Cache::rebuild_mode_ctx() {
       ctx.lookup_edc.push_back(model.edc_decode_energy(w));
     }
     wc.data_words = ways_[w].data_words.data();
+    wc.word_state = ways_[w].word_state.data();
     wc.data_codec = data_codec(w);
     // Stuck bits show at ULE only (HP-way cells are sized for negligible
     // Pf at high Vcc).
     wc.raw_load = wc.data_codec == nullptr &&
-                  (!ule || ways_[w].data_faults->fault_count() == 0);
+                  (!ule || ways_[w].data_stuck.empty());
     wc.word_write = model.word_write_energy(w);
     wc.edc_encode = model.edc_encode_energy(w);
     wc.edc_decode = model.edc_decode_energy(w);
@@ -420,9 +425,8 @@ void Cache::rebuild_mode_ctx() {
   if (ule) {
     for (std::size_t set = 0; set < sets; ++set) {
       for (std::size_t w = 0; w < ctx.ways; ++w) {
-        if (way_active(w) &&
-            ways_[w].tag_faults->any_stuck(tag_bit_base(w, set),
-                                           stored_tag_cw_bits_[w])) {
+        if (way_active(w) && !ways_[w].tag_stuck.empty() &&
+            ways_[w].tag_stuck[set].mask != 0) {
           ctx.tag_clean[set] = 0;
           break;
         }
@@ -532,6 +536,7 @@ void Cache::advance_time(double seconds) {
       const std::size_t bit = flip % cw;
       if (word_index < ways_[w].data_words.size()) {
         ways_[w].data_words[word_index] ^= 1ULL << bit;
+        ways_[w].word_state[word_index] |= kWordFlipped;
         ++stats_.soft_errors_injected;
       }
     }
@@ -547,6 +552,7 @@ void Cache::inject_bit_flip(std::size_t way, std::size_t set,
   const std::size_t bit = bit_in_line % cw;
   expects(word < config_.org.words_per_line(), "bit_in_line out of range");
   ways_[way].data_words[data_word_index(set, word)] ^= 1ULL << bit;
+  ways_[way].word_state[data_word_index(set, word)] |= kWordFlipped;
   ++stats_.soft_errors_injected;
 }
 

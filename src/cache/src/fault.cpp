@@ -42,22 +42,16 @@ void FaultMap::apply(BitVec& word, std::size_t base) const {
 
 std::uint64_t FaultMap::apply_word(std::uint64_t word, std::size_t base,
                                    std::size_t count) const {
-  const std::uint64_t stuck = stuck_mask_.extract_word(base, count);
-  if (stuck == 0) {
-    return word;  // the common case: no faulty cell under this codeword
-  }
-  return (word & ~stuck) | (stuck_values_.extract_word(base, count) & stuck);
+  const StuckBits stuck = stuck_word(base, count);
+  return (word & ~stuck.mask) | stuck.value;
 }
 
-bool FaultMap::any_stuck(std::size_t base, std::size_t count) const {
-  expects(base + count <= stuck_mask_.size(),
-          "FaultMap::any_stuck out of range");
-  for (std::size_t i = 0; i < count; ++i) {
-    if (stuck_mask_.get_unchecked(base + i)) {
-      return true;
-    }
+StuckBits FaultMap::stuck_word(std::size_t base, std::size_t count) const {
+  const std::uint64_t mask = stuck_mask_.extract_word(base, count);
+  if (mask == 0) {
+    return {};  // the common case: no faulty cell under this word
   }
-  return false;
+  return {mask, stuck_values_.extract_word(base, count) & mask};
 }
 
 SoftErrorProcess::SoftErrorProcess(std::size_t bits, double rate_per_bit)

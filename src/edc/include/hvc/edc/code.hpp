@@ -126,9 +126,20 @@ enum class Protection {
 /// the word sizes used (7 for SECDED, 13 for DECTED, 0 for none).
 [[nodiscard]] std::size_t check_bits_for(Protection protection);
 
-/// Factory: builds the codec the paper uses for `data_bits`-wide words
-/// (32-bit data words, 26-bit tag words) at a given protection level.
-[[nodiscard]] std::unique_ptr<Codec> make_codec(Protection protection,
-                                                std::size_t data_bits);
+/// The codec the paper uses for `data_bits`-wide words (32-bit data
+/// words, 26-bit tag words) at a given protection level.
+///
+/// Codecs are interned: the first call for a (protection, data_bits) key
+/// builds the codec, and every later call, from any thread, returns that
+/// same immutable instance, so building a cache costs no table
+/// construction after the first. Callers may keep the pointer for as long
+/// as they like.
+///
+/// A codec's decode of a valid codeword is clean: decode_word(encode_word(d))
+/// is {kClean, d, 0}. cache::Cache relies on this to skip the decode of a
+/// stored word that no stuck bit and no soft flip can have touched since
+/// it was encoded (see cache.hpp).
+[[nodiscard]] std::shared_ptr<const Codec> make_codec(Protection protection,
+                                                      std::size_t data_bits);
 
 }  // namespace hvc::edc

@@ -1,6 +1,9 @@
 #include "hvc/edc/code.hpp"
 
 #include <algorithm>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "hvc/common/error.hpp"
 #include "hvc/edc/bch.hpp"
@@ -86,8 +89,10 @@ WordDecodeResult NullCode::decode_word(std::uint64_t received) const {
   return result;
 }
 
-std::unique_ptr<Codec> make_codec(Protection protection,
-                                  std::size_t data_bits) {
+namespace {
+
+[[nodiscard]] std::unique_ptr<Codec> build_codec(Protection protection,
+                                                 std::size_t data_bits) {
   switch (protection) {
     case Protection::kNone:
       return std::make_unique<NullCode>(data_bits);
@@ -107,6 +112,25 @@ std::unique_ptr<Codec> make_codec(Protection protection,
     }
   }
   throw PreconditionError("unknown protection kind");
+}
+
+}  // namespace
+
+std::shared_ptr<const Codec> make_codec(Protection protection,
+                                        std::size_t data_bits) {
+  // Process-wide memo. Codecs are immutable after construction, so one
+  // instance serves every thread. The lock is held while a missing codec
+  // is built, so racing first callers get the same instance.
+  static std::mutex mutex;
+  static std::map<std::pair<Protection, std::size_t>,
+                  std::shared_ptr<const Codec>>
+      memo;
+  const std::lock_guard<std::mutex> lock(mutex);
+  std::shared_ptr<const Codec>& codec = memo[{protection, data_bits}];
+  if (codec == nullptr) {
+    codec = build_codec(protection, data_bits);
+  }
+  return codec;
 }
 
 }  // namespace hvc::edc

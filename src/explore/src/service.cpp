@@ -189,11 +189,15 @@ void Service::run() {
 }
 
 void Service::serve_connection(UnixStream stream) {
-  std::string line;
-  for (;;) {
-    const UnixStream::ReadStatus status =
-        stream.read_line(line, stop_pipe_.read_fd());
-    try {
+  // The connection thread's boundary: whatever escapes ends this one
+  // connection, never the daemon. A read fails only between queries, and
+  // a query's own failures are answered inside handle_request, so no
+  // store commit is ever cut short here.
+  try {
+    std::string line;
+    for (;;) {
+      const UnixStream::ReadStatus status =
+          stream.read_line(line, stop_pipe_.read_fd());
       if (status == UnixStream::ReadStatus::kTooLong) {
         // A bad request like any other: the connection stays open, and
         // the rest of the over-long line is dropped unbuffered.
@@ -209,9 +213,13 @@ void Service::serve_connection(UnixStream stream) {
         continue;
       }
       handle_request(stream, line);
-    } catch (const ClientGone&) {
-      return;
     }
+  } catch (const ClientGone&) {
+    // The peer hung up; nothing to report.
+  } catch (const std::exception& error) {
+    // A failed recv() or poll() on this socket: drop the connection.
+    std::fprintf(stderr, "hvc_explore serve: connection dropped: %s\n",
+                 error.what());
   }
 }
 

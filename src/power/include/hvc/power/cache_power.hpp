@@ -144,7 +144,7 @@ class CacheEnergyModel {
     std::unique_ptr<ArrayModel> tag_dynamic;
     std::unique_ptr<ArrayModel> data_dynamic;
     // EDC circuitry for the protection active in this mode.
-    std::unique_ptr<edc::Codec> codec;  // nullptr when no code active
+    std::shared_ptr<const edc::Codec> codec;  // nullptr when no code active
     double encode_energy = 0.0;
     double decode_energy = 0.0;
     double edc_leakage = 0.0;

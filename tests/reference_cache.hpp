@@ -7,7 +7,9 @@
 // with cache::Cache's access path, only the public building blocks both
 // are made of: FaultMap (sampled in Cache's init order, so both see the
 // same chip), edc::make_codec, power::CacheEnergyModel and make_policy.
-// It covers what the twins drive: demand accesses and mode switches.
+// It covers what the twins drive: demand accesses, mode switches, single
+// soft flips and scrubs. It decodes every coded word it reads, so it is
+// the oracle for the library's skip of clean-word decodes.
 #pragma once
 
 #include <cstdint>
@@ -174,6 +176,62 @@ class ReferenceCache {
     mode_ = mode;
   }
 
+  /// Flips one stored data bit of (way, set), as Cache::inject_bit_flip.
+  void inject_bit_flip(std::size_t way, std::size_t set,
+                       std::size_t bit_in_line) {
+    Way& target = ways_[way];
+    const std::size_t word = bit_in_line / target.data_cw_bits;
+    const std::size_t bit = bit_in_line % target.data_cw_bits;
+    target.data_words[set * config_.org.words_per_line() + word] ^= 1ULL
+                                                                    << bit;
+    ++stats_.soft_errors_injected;
+  }
+
+  /// Reads and decodes every valid line of the active coded ways and
+  /// rewrites the lines that needed a correction; lines with an
+  /// uncorrectable word are invalidated (Cache::scrub's contract).
+  cache::ScrubReport scrub() {
+    cache::ScrubReport report;
+    const std::size_t wpl = config_.org.words_per_line();
+    const power::CacheEnergyModel& m = model();
+    for (std::size_t w = 0; w < config_.org.ways; ++w) {
+      if (!way_active(w) || data_codec(w) == nullptr) {
+        continue;
+      }
+      for (std::size_t set = 0; set < config_.org.sets(); ++set) {
+        Line& line = ways_[w].lines[set];
+        if (!line.valid) {
+          continue;
+        }
+        ++report.lines_scrubbed;
+        dynamic_j_ += m.line_read_energy(w) + m.line_fill_energy(w);
+        edc_j_ += static_cast<double>(wpl) *
+                  (m.edc_decode_energy(w) + m.edc_encode_energy(w));
+        cache::AccessResult scratch;
+        std::vector<std::uint32_t> words(wpl, 0);
+        bool lost = false;
+        for (std::size_t word = 0; word < wpl && !lost; ++word) {
+          const auto value = read_data_word(w, set, word, scratch);
+          lost = !value;
+          words[word] = value.value_or(0);
+        }
+        if (lost) {
+          ++report.uncorrectable;
+          report.data_loss += line.dirty ? 1 : 0;
+          line = Line{};
+          continue;
+        }
+        report.bits_corrected += scratch.corrected_bits;
+        if (scratch.corrected_bits > 0) {
+          for (std::size_t word = 0; word < wpl; ++word) {
+            write_data_word(w, set, word, words[word]);
+          }
+        }
+      }
+    }
+    return report;
+  }
+
   [[nodiscard]] const cache::CacheStats& stats() const noexcept {
     return stats_;
   }
@@ -193,16 +251,16 @@ class ReferenceCache {
     std::vector<std::uint64_t> tag_words;
     std::size_t data_cw_bits = 0;
     std::size_t tag_cw_bits = 0;
-    std::unique_ptr<edc::Codec> data_codec_hp;
-    std::unique_ptr<edc::Codec> data_codec_ule;
-    std::unique_ptr<edc::Codec> tag_codec_hp;
-    std::unique_ptr<edc::Codec> tag_codec_ule;
+    std::shared_ptr<const edc::Codec> data_codec_hp;
+    std::shared_ptr<const edc::Codec> data_codec_ule;
+    std::shared_ptr<const edc::Codec> tag_codec_hp;
+    std::shared_ptr<const edc::Codec> tag_codec_ule;
     std::unique_ptr<cache::FaultMap> data_faults;
     std::unique_ptr<cache::FaultMap> tag_faults;
   };
 
-  static std::unique_ptr<edc::Codec> codec_or_null(edc::Protection protection,
-                                                   std::size_t bits) {
+  static std::shared_ptr<const edc::Codec> codec_or_null(
+      edc::Protection protection, std::size_t bits) {
     return protection == edc::Protection::kNone
                ? nullptr
                : edc::make_codec(protection, bits);

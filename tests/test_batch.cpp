@@ -98,18 +98,49 @@ void expect_stats_equal(const testref::ReferenceCache& reference,
   EXPECT_EQ(a.edc_corrections, b.edc_corrections) << what;
   EXPECT_EQ(a.edc_detected, b.edc_detected) << what;
   EXPECT_EQ(a.mode_switch_writebacks, b.mode_switch_writebacks) << what;
+  EXPECT_EQ(a.soft_errors_injected, b.soft_errors_injected) << what;
   // The pin that matters most: FP energy, exactly.
   EXPECT_EQ(reference.dynamic_energy_j(), cache.dynamic_energy_j()) << what;
   EXPECT_EQ(reference.edc_energy_j(), cache.edc_energy_j()) << what;
 }
 
+/// Soft errors and scrubs laid over a differential run (all off by
+/// default). Flips and scrubs go to both caches at the same points.
+struct Perturb {
+  /// After every `flip_every`-th op: flip 1 or 2 bits of one codeword of
+  /// the line that op touched, store to another word of that line half
+  /// the time (a one-word store must not hide the flip), then load the
+  /// flipped word; and flip one bit anywhere in the cache.
+  std::size_t flip_every = 0;
+  /// Scrub both caches before every `scrub_every`-th op.
+  std::size_t scrub_every = 0;
+  /// Toggle HP<->ULE before each of these ops.
+  std::vector<std::size_t> switches;
+};
+
+void expect_results_equal(const cache::AccessResult& want,
+                          const cache::AccessResult& got, const char* what,
+                          std::size_t j) {
+  ASSERT_EQ(want.hit, got.hit) << what << " op " << j;
+  ASSERT_EQ(want.way, got.way) << what << " op " << j;
+  ASSERT_EQ(want.latency_cycles, got.latency_cycles) << what << " op " << j;
+  ASSERT_EQ(want.data, got.data) << what << " op " << j;
+  ASSERT_EQ(want.writeback, got.writeback) << what << " op " << j;
+  ASSERT_EQ(want.corrected_bits, got.corrected_bits) << what << " op " << j;
+  ASSERT_EQ(want.detected_uncorrectable, got.detected_uncorrectable)
+      << what << " op " << j;
+}
+
 /// Drives the same op stream through the library cache and the
 /// reference, one op at a time (exactly how cpu::Core issues them),
-/// switching both to `switch_mode` before op `switch_at` when set.
-/// Compares every per-op result and the final stats/energy.
-void run_differential(const cache::CacheConfig& config, power::Mode mode,
+/// switching both to `switch_mode` before op `switch_at` when set, and
+/// applying `perturb`. Compares every per-op result and scrub report,
+/// and the final stats, energy and memory image. Returns the library
+/// cache's stats.
+cache::CacheStats run_differential(const cache::CacheConfig& config, power::Mode mode,
                       const char* what, std::size_t switch_at = 0,
-                      power::Mode switch_mode = power::Mode::kHp) {
+                      power::Mode switch_mode = power::Mode::kHp,
+                      const Perturb& perturb = {}) {
   cache::MainMemory mem_a, mem_b;
   Rng rng(7);
   cache::MainMemoryLevel term_a(mem_a, config.memory_latency_cycles);
@@ -119,30 +150,100 @@ void run_differential(const cache::CacheConfig& config, power::Mode mode,
   reference.set_mode(mode);
   cache.set_mode(mode);
 
-  const std::uint64_t footprint = 2 * config.org.size_bytes;
+  const power::CacheOrg& org = config.org;
+  const auto codeword_bits = [&](std::size_t way) {
+    return org.word_bits +
+           edc::check_bits_for(config.ways[way].stored_protection());
+  };
+  // Issues one op to both caches and compares the results.
+  const auto issue = [&](const Op& op, std::size_t j) {
+    const auto got = cache.access(op.addr, op.type, op.store_value);
+    const auto want = reference.access(op.addr, op.type, op.store_value);
+    expect_results_equal(want, got, what, j);
+    return want;
+  };
+  const auto flip = [&](std::size_t way, std::size_t set, std::size_t bit) {
+    reference.inject_bit_flip(way, set, bit);
+    cache.inject_bit_flip(way, set, bit);
+  };
+
+  Rng events(99);
+  std::size_t scrubbed_bits = 0;
+  const std::uint64_t footprint = 2 * org.size_bytes;
   const auto ops = op_stream(4096, footprint, 42);
   for (std::size_t j = 0; j < ops.size(); ++j) {
     if (switch_at != 0 && j == switch_at) {
       reference.set_mode(switch_mode);
       cache.set_mode(switch_mode);
     }
+    if (std::find(perturb.switches.begin(), perturb.switches.end(), j) !=
+        perturb.switches.end()) {
+      const power::Mode next = cache.mode() == power::Mode::kHp
+                                   ? power::Mode::kUle
+                                   : power::Mode::kHp;
+      reference.set_mode(next);
+      cache.set_mode(next);
+    }
+    if (perturb.scrub_every != 0 && j % perturb.scrub_every == 0) {
+      const cache::ScrubReport want = reference.scrub();
+      const cache::ScrubReport got = cache.scrub();
+      EXPECT_EQ(want.lines_scrubbed, got.lines_scrubbed) << what << " op " << j;
+      EXPECT_EQ(want.bits_corrected, got.bits_corrected) << what << " op " << j;
+      EXPECT_EQ(want.uncorrectable, got.uncorrectable) << what << " op " << j;
+      EXPECT_EQ(want.data_loss, got.data_loss) << what << " op " << j;
+      scrubbed_bits += got.bits_corrected;
+    }
     const Op& op = ops[j];
-    const auto got = cache.access(op.addr, op.type, op.store_value);
-    const auto want = reference.access(op.addr, op.type, op.store_value);
-    ASSERT_EQ(want.hit, got.hit) << what << " op " << j;
-    ASSERT_EQ(want.way, got.way) << what << " op " << j;
-    ASSERT_EQ(want.latency_cycles, got.latency_cycles) << what << " op " << j;
-    ASSERT_EQ(want.data, got.data) << what << " op " << j;
-    ASSERT_EQ(want.writeback, got.writeback) << what << " op " << j;
-    ASSERT_EQ(want.corrected_bits, got.corrected_bits) << what << " op " << j;
-    ASSERT_EQ(want.detected_uncorrectable, got.detected_uncorrectable)
-        << what << " op " << j;
+    const cache::AccessResult result = issue(op, j);
+    if (::testing::Test::HasFatalFailure()) {
+      return cache.stats();
+    }
+    if (perturb.flip_every == 0 || j % perturb.flip_every != 0) {
+      continue;
+    }
+    // A line the op left in the cache (a write-through store miss
+    // allocates nothing): flip one codeword of it, then read that word.
+    const bool resident =
+        result.hit || op.type != AccessType::kStore ||
+        config.write_policy != cache::WritePolicy::kWriteThroughNoAllocate;
+    if (resident) {
+      const std::uint64_t line_base = op.addr - op.addr % org.line_bytes;
+      const std::size_t set =
+          static_cast<std::size_t>((op.addr / org.line_bytes) % org.sets());
+      const std::size_t wpl = org.words_per_line();
+      const std::size_t cw = codeword_bits(result.way);
+      const std::size_t word = events.below(wpl);
+      const std::size_t first = events.below(cw);
+      flip(result.way, set, word * cw + first);
+      if (events.below(2) == 0) {
+        const std::size_t second = (first + 1 + events.below(cw - 1)) % cw;
+        flip(result.way, set, word * cw + second);
+      }
+      if (events.below(2) == 0) {
+        const std::size_t other = (word + 1 + events.below(wpl - 1)) % wpl;
+        issue({line_base + 4 * other, AccessType::kStore,
+               static_cast<std::uint32_t>(events.next())},
+              j);
+      }
+      issue({line_base + 4 * word, AccessType::kLoad, 0}, j);
+      if (::testing::Test::HasFatalFailure()) {
+        return cache.stats();
+      }
+    }
+    const std::size_t way = events.below(org.ways);
+    flip(way, events.below(org.sets()),
+         events.below(org.words_per_line() * codeword_bits(way)));
   }
   expect_stats_equal(reference, cache, what);
   // The stored memory images must agree too (stores/writebacks).
-  for (std::uint64_t a = 0; a < footprint; a += 512) {
-    EXPECT_EQ(mem_a.read_word(a), mem_b.read_word(a)) << what;
+  for (std::uint64_t a = 0; a < footprint; a += 4) {
+    EXPECT_EQ(mem_a.read_word(a), mem_b.read_word(a)) << what << " @" << a;
   }
+  if (perturb.scrub_every != 0) {
+    // The scrubs must have had something to correct.
+    EXPECT_GT(scrubbed_bits, 0u) << what;
+  }
+  return cache.stats();
 }
 
 TEST(BatchTwin, HpUncodedBitIdentical) {
@@ -174,6 +275,55 @@ TEST(BatchTwin, UleFaultyBitIdentical) {
                                  edc::Protection::kNone, 3e-3,
                                  cache::WritePolicy::kWriteBackAllocate),
                    power::Mode::kUle, "ule-faulty-uncoded");
+}
+
+// Soft flips, scrubs and mode switches against the reference's full
+// decode: the oracle for the library's skip of clean-word decodes. The
+// flipped words are clean (pf 0) or sit among stuck bits (pf 3e-3),
+// under SECDED (hp none / ule SECDED) and DECTED (hp SECDED / ule
+// DECTED) ULE ways; the switches re-encode the retained ULE-way lines.
+TEST(BatchTwin, SoftFlipsAndScrubsBitIdentical) {
+  struct Case {
+    edc::Protection hp;
+    edc::Protection ule;
+    double pf;
+    power::Mode mode;
+    const char* what;
+  };
+  const Case cases[] = {
+      {edc::Protection::kNone, edc::Protection::kSecded, 0.0,
+       power::Mode::kUle, "flips-secded-clean"},
+      {edc::Protection::kNone, edc::Protection::kSecded, 3e-3,
+       power::Mode::kUle, "flips-secded-stuck"},
+      {edc::Protection::kSecded, edc::Protection::kDected, 0.0,
+       power::Mode::kUle, "flips-dected-clean"},
+      {edc::Protection::kSecded, edc::Protection::kDected, 3e-3,
+       power::Mode::kUle, "flips-dected-stuck"},
+      {edc::Protection::kSecded, edc::Protection::kDected, 3e-3,
+       power::Mode::kHp, "flips-hp-secded"},
+  };
+  Perturb perturb;
+  perturb.flip_every = 5;
+  perturb.scrub_every = 700;
+  perturb.switches = {1300, 2600, 3300};
+  for (const Case& c : cases) {
+    for (const auto policy : {cache::WritePolicy::kWriteBackAllocate,
+                              cache::WritePolicy::kWriteThroughNoAllocate}) {
+      const cache::CacheStats stats =
+          run_differential(shaped_config(c.hp, c.ule, c.pf, policy), c.mode,
+                           c.what, 0, power::Mode::kHp, perturb);
+      if (::testing::Test::HasFatalFailure()) {
+        return;
+      }
+      // The flips reached the decoders: corrected single and double
+      // errors, and SECDED's detected doubles (refetched loads).
+      EXPECT_GT(stats.soft_errors_injected, 0u) << c.what;
+      EXPECT_GT(stats.edc_corrections, 0u) << c.what;
+      if (c.ule == edc::Protection::kSecded) {
+        EXPECT_GT(stats.edc_detected, 0u) << c.what;
+      }
+    }
+  }
 }
 
 TEST(BatchTwin, WriteThroughBitIdentical) {

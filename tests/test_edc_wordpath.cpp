@@ -1,10 +1,13 @@
 // Property tests pinning the word-level EDC fast path (encode_word /
 // decode_word) bit-for-bit to the BitVec reference path, for every code
 // configuration the paper uses, across random data words and all 0/1/2-bit
-// error patterns (plus random 3-bit patterns for DECTED detection).
+// error patterns (plus random 3-bit patterns for DECTED detection), and
+// the process-wide codec memo behind make_codec.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "hvc/common/bitvec.hpp"
@@ -18,8 +21,8 @@ namespace hvc::edc {
 namespace {
 
 /// Every codec configuration the paper's cache instantiates.
-[[nodiscard]] std::vector<std::unique_ptr<Codec>> paper_codecs() {
-  std::vector<std::unique_ptr<Codec>> codecs;
+[[nodiscard]] std::vector<std::shared_ptr<const Codec>> paper_codecs() {
+  std::vector<std::shared_ptr<const Codec>> codecs;
   codecs.push_back(make_codec(Protection::kNone, 32));
   codecs.push_back(make_codec(Protection::kSecded, 32));  // (39,32)
   codecs.push_back(make_codec(Protection::kSecded, 26));  // (33,26)
@@ -75,6 +78,7 @@ TEST(EdcWordPath, CleanDecodeMatchesReference) {
       const WordDecodeResult decoded = codec->decode_word(codeword);
       ASSERT_EQ(decoded.status, DecodeStatus::kClean);
       ASSERT_EQ(decoded.data, data);
+      ASSERT_EQ(decoded.corrected_bits, 0u);
     }
   }
 }
@@ -153,6 +157,71 @@ TEST(EdcWordPath, CorrectionRecoversData) {
       ASSERT_EQ(decoded.data, data) << codec->name();
       ASSERT_EQ(decoded.corrected_bits, flips) << codec->name();
     }
+  }
+}
+
+TEST(CodecMemo, SameKeyGivesSameInstance) {
+  for (const auto& codec : paper_codecs()) {
+    const Protection protection =
+        codec->check_bits() == 0   ? Protection::kNone
+        : codec->correctable() == 1 ? Protection::kSecded
+                                    : Protection::kDected;
+    EXPECT_EQ(make_codec(protection, codec->data_bits()).get(), codec.get())
+        << codec->name();
+  }
+}
+
+TEST(CodecMemo, DifferentKeysGiveDifferentCodecs) {
+  const auto codecs = paper_codecs();
+  for (std::size_t a = 0; a < codecs.size(); ++a) {
+    for (std::size_t b = a + 1; b < codecs.size(); ++b) {
+      EXPECT_NE(codecs[a].get(), codecs[b].get());
+      EXPECT_NE(codecs[a]->name(), codecs[b]->name());
+    }
+  }
+  EXPECT_EQ(make_codec(Protection::kSecded, 32)->name(), "SECDED(39,32)");
+  EXPECT_EQ(make_codec(Protection::kSecded, 26)->codeword_bits(), 33u);
+  EXPECT_EQ(make_codec(Protection::kDected, 32)->codeword_bits(), 45u);
+  EXPECT_EQ(make_codec(Protection::kDected, 26)->codeword_bits(), 39u);
+  EXPECT_EQ(make_codec(Protection::kNone, 32)->codeword_bits(), 32u);
+}
+
+TEST(CodecMemo, RacingFirstCallsGetOneInstance) {
+  // Keys no other test in this binary asks for, so every thread's call
+  // below can be the first one for its key.
+  constexpr std::size_t kThreads = 8;
+  const std::pair<Protection, std::size_t> keys[] = {
+      {Protection::kSecded, 48}, {Protection::kDected, 40}};
+  for (const auto& [protection, bits] : keys) {
+    std::vector<const Codec*> got(kThreads, nullptr);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        while (!go.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+        got[t] = make_codec(protection, bits).get();
+      });
+    }
+    go.store(true, std::memory_order_release);
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+    ASSERT_NE(got[0], nullptr);
+    EXPECT_EQ(got[0]->data_bits(), bits);
+    for (std::size_t t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(got[t], got[0]) << "thread " << t;
+    }
+    EXPECT_EQ(make_codec(protection, bits).get(), got[0]);
+    // The shared instance decodes its own codewords cleanly (the
+    // property Cache's clean-word skip rests on).
+    const std::uint64_t data = 0x5A5A5A5A5AULL & low_mask(bits);
+    const WordDecodeResult decoded =
+        got[0]->decode_word(got[0]->encode_word(data));
+    EXPECT_EQ(decoded.status, DecodeStatus::kClean);
+    EXPECT_EQ(decoded.data, data);
+    EXPECT_EQ(decoded.corrected_bits, 0u);
   }
 }
 

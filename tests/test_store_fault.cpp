@@ -10,6 +10,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -213,55 +215,86 @@ TEST(StoreFault, EnospcSurfacesAsConfigErrorWithTheStoreIntact) {
 // ---------------------------------------------------------------------
 
 /// The child's infinite writer loop: deterministic records forever,
-/// until SIGKILL lands somewhere inside a pwrite, between them, or
-/// before the store even exists.
-[[noreturn]] void writer_child(const std::string& path) {
+/// writing one byte to `commits_fd` after each commit, until SIGKILL
+/// lands somewhere inside a pwrite or between them.
+[[noreturn]] void writer_child(const std::string& path, int commits_fd) {
   try {
     ResultStore store(path, OpenOptions{.app_tag = kAppTag});
     for (std::uint64_t i = 0;; ++i) {
       const std::string payload = payload_for(i % 64);
       (void)store.put(key_for(i), payload.data(), payload.size());
+      const char committed = 1;
+      if (::write(commits_fd, &committed, 1) != 1) {
+        ::_exit(4);  // the parent closed the pipe: nothing to test
+      }
     }
   } catch (...) {
     ::_exit(3);  // only reachable on a real I/O error, not the kill
   }
 }
 
+/// Blocks until `count` commit reports arrived on `fd`; false on EOF or
+/// a read error (the child died on its own).
+[[nodiscard]] bool await_commits(int fd, std::size_t count) {
+  char buffer[64];
+  while (count > 0) {
+    const ssize_t got =
+        ::read(fd, buffer, std::min(count, sizeof buffer));
+    if (got < 0 && errno == EINTR) {
+      continue;
+    }
+    if (got <= 0) {
+      return false;
+    }
+    count -= static_cast<std::size_t>(got);
+  }
+  return true;
+}
+
 TEST(StoreFault, RandomizedSigkillNeverLosesACommittedRecord) {
   constexpr int kIterations = 200;
   // Fixed seed: failures reproduce. The randomness only moves the kill
-  // point around; correctness must hold wherever it lands.
+  // point around; correctness must hold wherever it lands. The kill
+  // comes a random delay after a random number (at least one) of
+  // reported commits, so on a loaded machine it still lands mid-stream,
+  // never before the first commit.
   std::mt19937_64 rng(0x5eedULL);
-  std::uniform_int_distribution<int> delay_us(0, 1500);
+  std::uniform_int_distribution<std::size_t> commits_before_kill(1, 16);
+  std::uniform_int_distribution<int> delay_us(0, 300);
 
   int recovered_with_records = 0;
   for (int iteration = 0; iteration < kIterations; ++iteration) {
     const std::string path = temp_path("sigkill.hvcs");
+    int commits[2];
+    ASSERT_EQ(::pipe(commits), 0);
     const pid_t pid = ::fork();
     ASSERT_GE(pid, 0);
     if (pid == 0) {
-      writer_child(path);  // never returns
+      ::close(commits[0]);
+      writer_child(path, commits[1]);  // never returns
     }
+    ::close(commits[1]);
+    const std::size_t reported = commits_before_kill(rng);
+    const bool reports_arrived = await_commits(commits[0], reported);
     ::usleep(static_cast<useconds_t>(delay_us(rng)));
     ASSERT_EQ(::kill(pid, SIGKILL), 0);
+    ::close(commits[0]);
     int status = 0;
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+    ASSERT_TRUE(reports_arrived && WIFSIGNALED(status) &&
+                WTERMSIG(status) == SIGKILL)
         << "child exited on its own (status " << status
-        << ") — the kill landed too late to test anything";
+        << ") before reporting " << reported << " commits";
 
-    // The kill may have landed before the file existed; that's a valid
-    // (trivial) crash image too.
-    std::ifstream exists(path);
-    if (!exists.good()) {
-      continue;
-    }
     {
-      // Recovery must accept whatever the kill left behind — including a
-      // partial header — and serve every committed record intact.
+      // Recovery must accept whatever the kill left behind and serve
+      // every committed record intact: at least the ones the child
+      // reported, and any it committed after them.
       ResultStore store(path,
                         OpenOptions{.recover = true, .app_tag = kAppTag});
       const std::size_t committed = store.records();
+      ASSERT_GE(committed, reported)
+          << "iteration " << iteration << ": reported commits lost";
       recovered_with_records += committed > 0 ? 1 : 0;
       for (std::uint64_t i = 0; i < committed; ++i) {
         const auto got = store.get(key_for(i));
